@@ -688,6 +688,12 @@ def render_serve_status(doc) -> str:
         lines.append(
             "  store: " + ("; ".join(health) if health else "healthy")
         )
+        if "replayed_records" in store:
+            lines.append(
+                f"  replay: {store['replayed_records']} record(s) decoded "
+                f"by the last load, {store['full_replays']} full "
+                "replay(s)"
+            )
     tail = doc.get("journal_tail")
     if tail:
         lines.append(f"  journal tail ({len(tail)} record(s)):")

@@ -71,11 +71,12 @@ def _routes(daemon: ServeDaemon, shutdown: threading.Event):
         return 200, {"job_id": job_id, "kind": kind}
 
     def get_job(job_id: str) -> Tuple[int, Dict[str, Any]]:
+        state = store.load()  # one replay serves the job and the health
         try:
-            doc = store.get(job_id).as_dict()
+            doc = state.get(job_id).as_dict()
         except ServeStoreError as exc:
             return 404, {"error": str(exc)}
-        doc["store"] = store.health()
+        doc["store"] = store.health(state)
         return 200, doc
 
     def journal_tail(

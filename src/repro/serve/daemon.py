@@ -1,11 +1,12 @@
 """The serve daemon: lease, supervise, requeue, drain.
 
 The control loop is a single idempotent :meth:`ServeDaemon.tick` —
-replay the job log, reap finished workers, expire stale leases,
-lease what's leasable — run repeatedly by :meth:`run_forever`.  All
-state lives in the log, none in the process, so the loop is trivially
-crash-tolerant: a daemon killed between any two ticks restarts into
-exactly the state the log describes.
+poll workers, replay the job log, reap the finished ones, expire
+stale leases, lease what's leasable — run repeatedly by
+:meth:`run_forever`.  All state lives in the log, none in the
+process, so the loop is trivially crash-tolerant: a daemon killed
+between any two ticks restarts into exactly the state the log
+describes.
 
 Supervision rules (the job lifecycle state machine, see
 ``docs/SERVE.md``):
@@ -43,8 +44,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Set, Union
 
+from ..core.atomicio import canonical_json
 from ..exec.journal import RESUMABLE_EXIT_CODE
-from .store import JobStore, ServeState, job_backoff
+from .store import JobRecord, JobStore, ServeState, job_backoff
 
 __all__ = ["DaemonConfig", "ServeDaemon"]
 
@@ -72,6 +74,12 @@ class DaemonConfig:
             raise ValueError("heartbeat interval must be positive")
         if self.max_attempts < 1:
             raise ValueError("max attempts must be >= 1")
+
+
+#: Largest job spec (canonical JSON characters) handed to a worker on
+#: its command line; a larger one is read back from the job log.  Well
+#: inside Linux's 128 KiB limit on one argument.
+MAX_ARGV_SPEC = 64 * 1024
 
 
 def _worker_env() -> Dict[str, str]:
@@ -112,14 +120,19 @@ class ServeDaemon:
             self._log(f"swept {len(swept)} orphaned temp file(s)")
 
     # -- helpers -----------------------------------------------------------
-    def _spawn(self, job_id: str, attempt: int) -> subprocess.Popen:
+    def _spawn(self, job: JobRecord, attempt: int) -> subprocess.Popen:
+        argv = [
+            sys.executable, "-m", "repro.serve.worker",
+            str(self.store.state_dir), job.job_id,
+            "--attempt", str(attempt),
+            "--heartbeat", str(self.config.heartbeat),
+        ]
+        spec = canonical_json(job.spec)
+        if len(spec) <= MAX_ARGV_SPEC:
+            # The worker need not replay the log to find its job.
+            argv += ["--kind", job.kind, "--spec", spec]
         return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.serve.worker",
-                str(self.store.state_dir), job_id,
-                "--attempt", str(attempt),
-                "--heartbeat", str(self.config.heartbeat),
-            ],
+            argv,
             env=_worker_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -165,14 +178,19 @@ class ServeDaemon:
     def tick(self, now: Optional[float] = None) -> ServeState:
         """One supervision pass; returns the replayed state it acted on."""
         now = time.time() if now is None else now
-        state = self.store.load()
 
-        # 1. Reap workers this daemon owns.
+        # 1. Reap workers this daemon owns.  Poll before reading the
+        # log: a worker appends its outcome before it exits, so a state
+        # read after the exit was seen always holds that outcome.
+        exited: Dict[str, int] = {}
         for job_id, proc in list(self._procs.items()):
             code = proc.poll()
-            if code is None:
-                continue
-            del self._procs[job_id]
+            if code is not None:
+                exited[job_id] = code
+                del self._procs[job_id]
+        state = self.store.load()
+        reaped = False
+        for job_id, code in exited.items():
             job = state.jobs.get(job_id)
             if job is None or job.status != "leased":
                 continue  # worker recorded its own outcome (or cancel won)
@@ -183,6 +201,8 @@ class ServeDaemon:
                 # is dead the moment the process is — no need to wait
                 # out the timeout.
                 self._requeue(job_id, job.attempt, "lease-expired")
+            reaped = True
+        if reaped:
             state = self.store.load()
 
         # 2. Kill workers of cancelled jobs (no checkpoint courtesy —
@@ -235,7 +255,7 @@ class ServeDaemon:
                 if busy >= self.config.workers:
                     break
                 attempt = job.attempt + 1
-                proc = self._spawn(job.job_id, attempt)
+                proc = self._spawn(job, attempt)
                 self.store.job_leased(
                     job.job_id, attempt, proc.pid,
                     self.config.lease_timeout, daemon_id=self.daemon_id,

@@ -36,15 +36,24 @@ it, so a worker that finishes after the cancel cannot resurrect the
 job.  Every record carries a wall-clock ``t``; time drives *lease
 expiry and backoff gating only*, never results or digests, so the
 queue's outputs stay deterministic while its scheduling is temporal.
+
+Replay follows the log's tail: a :class:`JobStore` keeps the state
+folded so far with the byte offset of the last complete line it
+consumed, and each later :meth:`JobStore.load` decodes only the bytes
+appended since.  A log that shrank, was replaced (new inode) or no
+longer shows the consumed bytes' last edge at that offset is replayed
+from byte 0 instead.
 """
 
 from __future__ import annotations
 
+import copy
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.atomicio import (
     FileLock,
@@ -160,12 +169,23 @@ class JobRecord:
 
 @dataclass
 class ServeState:
-    """The whole queue, replayed from ``jobs.log``."""
+    """The whole queue, replayed from ``jobs.log``.
+
+    A state :meth:`JobStore.load` returned is a snapshot shared with
+    the store's replay cache: later loads never mutate it, and callers
+    must not either.
+    """
 
     jobs: Dict[str, JobRecord] = field(default_factory=dict)
     records: int = 0
     corrupt_records: int = 0
     torn_tail: bool = False
+
+    def get(self, job_id: str) -> JobRecord:
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise ServeStoreError(f"unknown job {job_id!r}")
+        return job
 
     def by_status(self) -> Dict[str, int]:
         depths = {s: 0 for s in
@@ -235,18 +255,68 @@ def _apply(state: ServeState, rec: Dict[str, Any]) -> None:
     # unknown record types are ignored (forward compatibility)
 
 
+def _fold(base: ServeState, chunk: bytes) -> Tuple[ServeState, int]:
+    """Replay the log bytes ``chunk`` on top of ``base`` with the WAL
+    recovery rules (torn tail dropped, corrupt interior skipped and
+    counted); returns the new state and the number of lines decoded.
+
+    ``base`` is never mutated: the new state gets its own job table,
+    and each job a record touches is copied before the first change.
+    Lines split exactly as a text-mode read of the whole file would
+    (any of ``\\n``, ``\\r\\n``, ``\\r``), so folding a log chunk by
+    chunk from line boundaries equals folding it in one pass.
+    """
+    # errors="replace": on-disk byte rot degrades to one corrupt
+    # record, never an undecodable store.
+    text = chunk.decode("utf-8", errors="replace")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    ends_clean = lines[-1] == ""
+    if ends_clean:
+        lines.pop()
+    state = ServeState(
+        jobs=dict(base.jobs),
+        records=base.records,
+        corrupt_records=base.corrupt_records,
+    )
+    owned: set = set()  # jobs already copied for this fold
+    for i, line in enumerate(lines):
+        try:
+            rec = decode_record(line)
+        except JournalError:
+            if i == len(lines) - 1 and not ends_clean:
+                state.torn_tail = True
+            else:
+                state.corrupt_records += 1
+            continue
+        state.records += 1
+        job_id = rec.get("job", "")
+        if job_id not in owned:
+            owned.add(job_id)
+            if job_id in state.jobs:
+                state.jobs[job_id] = copy.copy(state.jobs[job_id])
+        _apply(state, rec)
+    return state, len(lines)
+
+
 class JobStore:
     """Filesystem handle on one serve state directory.
 
     All appends and id assignment happen under the ``serve.lock``
     FileLock so the daemon, its workers, and any CLI client can share
-    the log safely; reads replay the log without locking (the WAL
-    framing makes a mid-append read safe — the unfinished line fails
-    its checksum and is dropped as a torn tail).
+    the log safely; reads replay the log without the file lock (the
+    WAL framing makes a mid-append read safe — the unfinished line
+    fails its checksum and is dropped as a torn tail).
+
+    Reads follow the log's tail (see :meth:`load`).  One instance may
+    be shared across threads: the replay cache has its own lock.
     """
 
     LOCK_NAME = "serve.lock"
     LOG_NAME = "jobs.log"
+    #: Bytes before the consumed offset that must still read the same
+    #: for a tail-only load; anything else means the file was
+    #: rewritten under the cache.
+    EDGE_BYTES = 64
 
     def __init__(self, state_dir: Union[str, os.PathLike]) -> None:
         self.state_dir = Path(state_dir)
@@ -255,6 +325,19 @@ class JobStore:
         self.journals_dir = self.state_dir / "journals"
         self.results_dir = self.state_dir / "results"
         self.metrics_dir = self.state_dir / "metrics"
+        # The replay cache: the state folded from the log's first
+        # ``_offset`` bytes (always a line boundary), the file it came
+        # from, and the last EDGE_BYTES of those bytes.
+        self._replay_lock = threading.Lock()
+        self._state = ServeState()
+        self._offset = 0
+        self._file_id: Optional[Tuple[int, int]] = None
+        self._edge = b""
+        #: Lines decoded by the most recent :meth:`load`.
+        self.replayed_records = 0
+        #: Loads that replayed the log from byte 0 since this store
+        #: was opened (the first load of an existing log included).
+        self.full_replays = 0
 
     def _lock(self) -> FileLock:
         return FileLock(self.state_dir / self.LOCK_NAME)
@@ -357,36 +440,63 @@ class JobStore:
     # -- read side ---------------------------------------------------------
     def load(self) -> ServeState:
         """Replay ``jobs.log`` with the WAL recovery rules: torn tail
-        dropped, corrupt interior skipped and counted."""
-        state = ServeState()
-        if not self.log_path.exists():
-            return state
-        # errors="replace": on-disk byte rot degrades to one corrupt
-        # record, never an undecodable store.
-        raw = self.log_path.read_text(errors="replace")
-        lines = raw.split("\n")
-        ends_clean = raw.endswith("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for i, line in enumerate(lines):
-            last = i == len(lines) - 1
+        dropped, corrupt interior skipped and counted.
+
+        Only the bytes appended since the previous load are read and
+        decoded.  A file that shrank, was replaced, or whose bytes just
+        before the consumed offset changed is replayed from byte 0.  A
+        trailing line without its newline (a torn or in-flight append)
+        is folded into the returned state but never into the cache, so
+        the next load decodes it again once it is complete.
+        """
+        with self._replay_lock:
             try:
-                rec = decode_record(line)
-            except JournalError:
-                if last and not ends_clean:
-                    state.torn_tail = True
-                else:
-                    state.corrupt_records += 1
-                continue
-            state.records += 1
-            _apply(state, rec)
-        return state
+                f = open(self.log_path, "rb")
+            except FileNotFoundError:
+                self._restart(None)
+                self.replayed_records = 0
+                return self._state
+            with f:
+                st = os.fstat(f.fileno())
+                file_id = (st.st_dev, st.st_ino)
+                data = None
+                if file_id == self._file_id and st.st_size >= self._offset:
+                    f.seek(self._offset - len(self._edge))
+                    data = f.read()
+                    if data.startswith(self._edge):
+                        data = data[len(self._edge):]
+                    else:
+                        data = None  # rewritten under the cache
+                if data is None:
+                    self._restart(file_id)
+                    self.full_replays += 1
+                    f.seek(0)
+                    data = f.read()
+            cut = data.rfind(b"\n") + 1
+            decoded = 0
+            if cut:
+                done = data[:cut]
+                self._state, decoded = _fold(self._state, done)
+                self._offset += cut
+                self._edge = (
+                    self._edge + done[-self.EDGE_BYTES:]
+                )[-self.EDGE_BYTES:]
+            state = self._state
+            if cut < len(data):
+                state, n = _fold(state, data[cut:])
+                decoded += n
+            self.replayed_records = decoded
+            return state
+
+    def _restart(self, file_id: Optional[Tuple[int, int]]) -> None:
+        """Drop the replay cache: the next fold starts at byte 0."""
+        self._state = ServeState()
+        self._offset = 0
+        self._file_id = file_id
+        self._edge = b""
 
     def get(self, job_id: str) -> JobRecord:
-        job = self.load().jobs.get(job_id)
-        if job is None:
-            raise ServeStoreError(f"unknown job {job_id!r}")
-        return job
+        return self.load().get(job_id)
 
     # -- store health ------------------------------------------------------
     def _artifact_dirs(self) -> List[Path]:
@@ -395,9 +505,11 @@ class JobStore:
 
     def health(self, state: Optional[ServeState] = None) -> Dict[str, Any]:
         """Durability health of the state dir: record counts, corrupt
-        interior records, torn tail, and orphaned atomic-write temp
-        files across every artifact directory.  The block ``repro
-        serve status`` and ``/healthz`` surface."""
+        interior records, torn tail, orphaned atomic-write temp files
+        across every artifact directory, and the replay cost counters
+        (lines decoded by the last load, full replays since the store
+        was opened).  The block ``repro serve status`` and
+        ``/healthz`` surface."""
         if state is None:
             state = self.load()
         orphans = sum(
@@ -408,6 +520,8 @@ class JobStore:
             "corrupt_records": state.corrupt_records,
             "torn_tail": state.torn_tail,
             "orphan_tmp": orphans,
+            "replayed_records": self.replayed_records,
+            "full_replays": self.full_replays,
         }
 
     def sweep_orphans(self, force: bool = False) -> List[Path]:

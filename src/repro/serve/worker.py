@@ -1,13 +1,14 @@
 """The per-job worker subprocess: ``python -m repro.serve.worker``.
 
 The daemon leases a job, appends ``job_leased``, and spawns one of
-these per job.  The worker's lifecycle is deliberately *independent*
-of the daemon's: it talks to the world only through the shared state
-directory (heartbeats into ``jobs.log``, checkpoints into its per-job
-run journal, the final document into ``results/``), so a daemon that
-dies mid-job leaves an orphan worker that keeps making durable
-progress — the restarted daemon sees its fresh heartbeats and leaves
-the lease alone.
+these per job, handing it the job's kind and spec on the command line
+so the worker never replays the job log.  The worker's lifecycle is
+deliberately *independent* of the daemon's: it talks to the world only
+through the shared state directory (heartbeats into ``jobs.log``,
+checkpoints into its per-job run journal, the final document into
+``results/``), so a daemon that dies mid-job leaves an orphan worker
+that keeps making durable progress — the restarted daemon sees its
+fresh heartbeats and leaves the lease alone.
 
 Execution per kind mirrors the CLI command byte-for-byte (same engine
 wiring, same collector) so a job's metric-document ``digest`` is
@@ -35,6 +36,7 @@ produces a deterministic lease expiry.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import sys
@@ -277,10 +279,18 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--attempt", type=int, default=1)
     parser.add_argument("--heartbeat", type=float,
                         default=DEFAULT_HEARTBEAT_S)
+    parser.add_argument("--kind", help="the job's kind, as leased (with "
+                        "--spec, spares replaying the job log)")
+    parser.add_argument("--spec", type=json.loads,
+                        help="the job's spec as a JSON object")
     args = parser.parse_args(argv)
 
     store = JobStore(args.state_dir)
-    job = store.get(args.job_id)
+    if args.kind is None or args.spec is None:
+        job = store.get(args.job_id)
+        kind, spec = job.kind, job.spec
+    else:
+        kind, spec = args.kind, args.spec
 
     cancel = threading.Event()
 
@@ -290,7 +300,7 @@ def main(argv: Optional[list] = None) -> int:
     signal.signal(signal.SIGTERM, _on_term)
     signal.signal(signal.SIGINT, _on_term)
 
-    wedge_until = int(job.spec.get("_wedge_attempts", 0))
+    wedge_until = int(spec.get("_wedge_attempts", 0))
     if args.attempt <= wedge_until:
         # Deliberately no heartbeat: the daemon must observe a stale
         # lease and re-dispatch.  (Test-only path.)
@@ -300,7 +310,7 @@ def main(argv: Optional[list] = None) -> int:
     heartbeat.start()
     try:
         doc, interrupted = execute_job(
-            store, args.job_id, job.kind, job.spec, cancel
+            store, args.job_id, kind, spec, cancel
         )
     except Exception as exc:  # typed terminal state, not a wedged queue
         heartbeat.stop()
@@ -315,7 +325,7 @@ def main(argv: Optional[list] = None) -> int:
         return RESUMABLE_EXIT_CODE
 
     try:
-        finalize_job(store, args.job_id, job.kind, doc)
+        finalize_job(store, args.job_id, kind, doc)
     except OSError as exc:
         # A result write that hits a full/sick disk must degrade to a
         # typed terminal record, not an unexplained traceback that

@@ -172,7 +172,7 @@ class TestJobStoreDurabilityHealth:
         healthy = store.health()
         assert healthy == {
             "records": 1, "corrupt_records": 0, "torn_tail": False,
-            "orphan_tmp": 0,
+            "orphan_tmp": 0, "replayed_records": 1, "full_replays": 1,
         }
         with open(store.log_path, "a") as f:
             f.write('{"not-a-record"}\n{"torn')
@@ -182,6 +182,9 @@ class TestJobStoreDurabilityHealth:
         assert sick["corrupt_records"] == 1
         assert sick["torn_tail"] is True
         assert sick["orphan_tmp"] == 1  # pid 999999999 is long dead
+        # Only the two appended lines were decoded, on the cached replay.
+        assert sick["replayed_records"] == 2
+        assert sick["full_replays"] == 1
 
     def test_sweep_orphans_reclaims_dead_pid_tmp_files(self, tmp_path):
         store = JobStore(tmp_path)

@@ -24,6 +24,7 @@ from repro.serve import client as sc
 from repro.serve.api import start_api
 from repro.serve.client import ServeClientError
 from repro.serve.daemon import DaemonConfig, ServeDaemon
+from repro.serve.store import JobStore
 
 _REPO = Path(__file__).resolve().parent.parent
 _ENV = dict(os.environ, PYTHONPATH=str(_REPO / "src"))
@@ -177,6 +178,98 @@ class TestCliClient:
 
 
 @pytest.mark.slow
+class TestConcurrentReads:
+    """The daemon thread and the API's request threads share one
+    :class:`JobStore` and its replay cache."""
+
+    JOBS = 30
+    STAGES = ("queued", "leased", "leased", "done")  # records per job
+
+    def _expected_depths(self, records):
+        depths = {"queued": 0, "leased": 0, "done": 0, "failed": 0,
+                  "cancelled": 0}
+        depths["done"] = records // len(self.STAGES)
+        if records % len(self.STAGES):
+            depths[self.STAGES[records % len(self.STAGES) - 1]] += 1
+        return depths
+
+    def test_reads_during_ticks_never_see_half_applied_records(
+        self, served,
+    ):
+        daemon, url, _ = served
+        daemon.draining = True  # ticks replay and reap; nothing leases
+        writer_store = JobStore(daemon.store.state_dir)  # as a worker
+        stop = threading.Event()
+        errors = []
+        reads = []
+
+        def guarded(fn):
+            def run():
+                try:
+                    fn()
+                except Exception as exc:  # surfaced by the assert
+                    errors.append(exc)
+                    stop.set()
+            return threading.Thread(target=run)
+
+        def write():
+            for _ in range(self.JOBS):
+                job_id = writer_store.submit("run", {"key": "lst1"})
+                writer_store.job_leased(job_id, 1, pid=0, timeout=3600.0)
+                writer_store.job_heartbeat(job_id, pid=0)
+                writer_store.job_done(job_id, {"run": f"d-{job_id}"})
+            stop.set()
+
+        def tick():
+            while not stop.is_set():
+                daemon.tick()
+
+        def read_health():
+            while not stop.is_set():
+                doc = sc.healthz(url=url)
+                # Depths and record count come from one replay: the
+                # writer's fixed sequence makes one a function of the
+                # other.
+                assert doc["queue"] == self._expected_depths(
+                    doc["records"]), doc
+                assert doc["store"]["records"] == doc["records"]
+                reads.append(doc["records"])
+
+        def read_jobs():
+            while not stop.is_set():
+                jobs = sc.list_jobs(url=url)["jobs"]
+                for i, job in enumerate(jobs):
+                    if i < len(jobs) - 1:
+                        assert job["status"] == "done", job
+                    if job["status"] == "done":
+                        assert job["attempt"] == 1, job
+                        assert job["digests"] == {
+                            "run": f"d-{job['job_id']}"}, job
+                if jobs:
+                    one = sc.get_job(jobs[-1]["job_id"], url=url)
+                    assert one["store"]["records"] >= \
+                        len(self.STAGES) * (len(jobs) - 1), one
+
+        threads = [guarded(f) for f in
+                   (write, tick, read_health, read_health, read_jobs)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave threads mid-replay
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert reads
+        final = sc.healthz(url=url)
+        assert final["records"] == len(self.STAGES) * self.JOBS
+        assert final["queue"]["done"] == self.JOBS
+
+
 class TestEndToEnd:
     def test_submit_wait_result_metrics_over_http(self, tmp_path):
         daemon = ServeDaemon(DaemonConfig(

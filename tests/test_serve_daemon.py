@@ -86,6 +86,16 @@ class TestHappyPath:
         )
         assert result["digest"] == job.digests["run"]
 
+    def test_spec_too_long_for_argv_is_read_from_the_log(self, tmp_path):
+        from repro.serve.daemon import MAX_ARGV_SPEC
+
+        daemon = _daemon(tmp_path)
+        # ``_`` keys never reach the engine, so the digest is unchanged.
+        spec = {"key": "lst1", "scale": "ci", "_pad": "x" * MAX_ARGV_SPEC}
+        job = _drive(daemon, daemon.store.submit("run", spec))
+        assert job.status == "done"
+        assert job.digests["run"] == _expected_run_digest()
+
     def test_workers_cap_concurrent_leases(self, tmp_path):
         daemon = _daemon(tmp_path, workers=1, lease_timeout=30.0)
         a = daemon.store.submit("run", {"key": "lst1", "_wedge_attempts": 9})
@@ -182,6 +192,48 @@ class TestDrainAndCancel:
         assert state.jobs[job_id].status == "cancelled"
         # Sticky: nothing ever revives it, and drain is clean.
         assert daemon.drain() == 0
+
+
+class _FinishingProc:
+    """A worker stand-in whose exit is first seen by ``poll()``; it
+    appends its ``job_done`` just before that, as a real worker does
+    right before it exits."""
+
+    pid = 424242
+
+    def __init__(self, store, job_id):
+        self.store, self.job_id = store, job_id
+        self.returncode = None
+
+    def poll(self):
+        if self.returncode is None:
+            self.store.job_done(self.job_id, {"run": "abcd"})
+            self.returncode = 0
+        return self.returncode
+
+
+class TestReapOrder:
+    def test_outcome_landing_before_the_exit_is_seen_is_not_requeued(
+        self, tmp_path,
+    ):
+        # The job_done lands after anything the tick could have read
+        # before polling, and before poll() reports the exit.  A tick
+        # that judged the exit against a state read before the poll
+        # would requeue a finished job as lease-expired.
+        daemon = _daemon(tmp_path, lease_timeout=60.0)
+        job_id = daemon.store.submit("run", {"key": "lst1"})
+        daemon.store.job_leased(job_id, 1, _FinishingProc.pid, 60.0,
+                                daemon_id=daemon.daemon_id)
+        daemon.store.load()  # the tick's store has read the lease
+        daemon._procs[job_id] = _FinishingProc(daemon.store, job_id)
+        daemon._mine.add(job_id)
+        job = daemon.tick().jobs[job_id]
+        assert job.status == "done"
+        assert job.attempt == 1
+        assert job.requeues == 0
+        assert not daemon._procs
+        assert not [rec for rec in _log_records(daemon.store)
+                    if rec["type"] == "job_requeued"]
 
 
 class TestRestartRecovery:

@@ -11,20 +11,31 @@ The durability claims under test:
   across jobs;
 * ``FileLock.acquire(timeout=...)`` raises a :class:`FileLockTimeout`
   naming the holding pid instead of blocking forever, proven against
-  a real second process.
+  a real second process;
+* a long-lived store's tail-following replay decodes only appended
+  lines (counted, not timed) and always equals a fresh full replay of
+  the same bytes, whatever mix of appends, tears, repairs, corrupt
+  appends, truncations, in-place rewrites and file replacements came
+  before.
 """
 
+import dataclasses
+import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.atomicio import FileLock, FileLockTimeout
+from repro.core.atomicio import FileLock, FileLockTimeout, repair_torn_tail
 from repro.exec.backoff import backoff_delay, backoff_schedule
 from repro.exec.journal import encode_record
+from repro.serve.daemon import DaemonConfig, ServeDaemon
 from repro.serve.store import (
     JobStore,
     ServeStoreError,
@@ -174,6 +185,213 @@ class TestJobLogReplay:
         depths = store.load().by_status()
         assert depths == {"queued": 1, "leased": 1, "done": 0,
                           "failed": 0, "cancelled": 1}
+
+
+def _aged_log(path, records, jobs=100):
+    """A log of exactly ``records`` finished-job records: per job a
+    submit, a lease, heartbeats and a done."""
+    per_job = records // jobs
+    lines = []
+    t = 1_600_000_000.0
+    for i in range(1, jobs + 1):
+        job = f"job-{i:06d}"
+        lines.append(encode_record({"type": "job_submitted", "job": job,
+                                    "kind": "run", "spec": {}, "t": t}))
+        lines.append(encode_record({"type": "job_leased", "job": job,
+                                    "attempt": 1, "pid": 1,
+                                    "timeout": 30.0, "t": t}))
+        for _ in range(per_job - 3):
+            t += 1.0
+            lines.append(encode_record({"type": "job_heartbeat",
+                                        "job": job, "pid": 1, "t": t}))
+        lines.append(encode_record({"type": "job_done", "job": job,
+                                    "digests": {"run": "ff"}, "t": t}))
+    path.write_text("".join(lines))
+    return len(lines)
+
+
+class TestTailFollowingReplay:
+    """Replay cost grows with the appended records, not the log's age:
+    the counters make that a deterministic gate."""
+
+    AGED = 20_000
+
+    def test_loads_decode_only_the_appended_records(self, tmp_path):
+        store = JobStore(tmp_path)
+        assert _aged_log(store.log_path, self.AGED) == self.AGED
+        first = store.load()
+        assert first.records == self.AGED
+        assert store.replayed_records == self.AGED
+        assert store.full_replays == 1
+        assert store.load().records == self.AGED
+        assert store.replayed_records == 0  # nothing new: nothing decoded
+        for k in (1, 7):
+            before = store.load().records
+            for _ in range(k):
+                store.job_heartbeat("job-000100", pid=1)
+            assert store.load().records == before + k
+            assert store.replayed_records == k
+        assert store.full_replays == 1
+        # Later loads never mutate a state handed out earlier.
+        assert first.records == self.AGED
+        health = store.health()
+        assert health["replayed_records"] == 0
+        assert health["full_replays"] == 1
+
+    def test_daemon_tick_without_new_records_decodes_nothing(self, tmp_path):
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        _aged_log(state_dir / JobStore.LOG_NAME, self.AGED)
+        daemon = ServeDaemon(DaemonConfig(state_dir=state_dir, workers=1))
+        assert daemon.tick().records == self.AGED
+        assert daemon.store.replayed_records == self.AGED
+        for _ in range(3):
+            daemon.tick()
+            assert daemon.store.replayed_records == 0
+        assert daemon.store.full_replays == 1
+
+    def test_a_torn_tail_is_never_cached(self, tmp_path):
+        store = JobStore(tmp_path)
+        job = store.submit("run", {})
+        line = encode_record({"type": "job_cancelled", "job": job,
+                              "t": time.time()})
+        with open(store.log_path, "a") as f:
+            f.write(line[:-1])  # the whole record but its newline
+        # An unterminated line that checks out is applied, but only to
+        # this load's result.
+        assert store.load().jobs[job].status == "cancelled"
+        with open(store.log_path, "a") as f:
+            f.write("\n")
+        assert store.load().jobs[job].status == "cancelled"
+        assert store.replayed_records == 1  # the completed line again
+        repair_torn_tail(store.log_path)
+        with open(store.log_path, "a") as f:
+            f.write(line[:20])  # a tear that cannot decode
+        state = store.load()
+        assert state.torn_tail and state.corrupt_records == 0
+        repair_torn_tail(store.log_path)
+        assert not store.load().torn_tail
+        assert store.full_replays == 1
+
+    def test_shrunk_or_replaced_log_is_replayed_in_full(self, tmp_path):
+        store = JobStore(tmp_path)
+        a = store.submit("run", {})
+        store.submit("run", {})
+        assert len(store.load().jobs) == 2
+        keep = store.log_path.read_bytes().split(b"\n")[0] + b"\n"
+        os.truncate(store.log_path, len(keep))
+        assert list(store.load().jobs) == [a]
+        assert store.full_replays == 2
+        replacement = tmp_path / "jobs.log.new"
+        replacement.write_bytes(keep + encode_record(
+            {"type": "job_cancelled", "job": a, "t": 1.0}).encode())
+        os.replace(replacement, store.log_path)
+        assert store.load().jobs[a].status == "cancelled"
+        assert store.full_replays == 3
+
+
+_JOB_IDS = ("job-000001", "job-000002", "job-000003")
+_RECORD_TYPES = ("job_submitted", "job_leased", "job_heartbeat",
+                 "job_requeued", "job_done", "job_failed", "job_cancelled")
+
+
+def _record_line(rtype: str, job: str, t: int) -> bytes:
+    doc = {"type": rtype, "job": job, "t": float(t)}
+    if rtype == "job_submitted":
+        doc.update(kind="run", spec={"key": "fig1", "n": t})
+    elif rtype == "job_leased":
+        doc.update(attempt=1 + t % 3, pid=100 + t, timeout=30.0,
+                   daemon=f"d-{t % 2}")
+    elif rtype == "job_heartbeat":
+        doc["pid"] = 100 + t
+    elif rtype == "job_requeued":
+        doc.update(attempt=1 + t % 3, reason="lease-expired", delay=0.5)
+    elif rtype == "job_done":
+        doc.update(digests={"run": f"{t:016x}"}, result={"kind": "run"})
+    elif rtype == "job_failed":
+        doc["error"] = f"Boom: {t}"
+    return encode_record(doc).encode()
+
+
+def _flip_bit(data: bytes, where: int, bit: int) -> bytes:
+    if not data:
+        return data
+    i = where * len(data) // 1000
+    return data[:i] + bytes([data[i] ^ (1 << bit)]) + data[i + 1:]
+
+
+def _view(state):
+    return (state.records, state.corrupt_records, state.torn_tail,
+            {j: dataclasses.asdict(r) for j, r in state.jobs.items()})
+
+
+_records = st.lists(
+    st.tuples(st.sampled_from(_RECORD_TYPES), st.sampled_from(_JOB_IDS)),
+    min_size=1, max_size=4,
+)
+_per_mille = st.integers(0, 999)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("append"), _records),
+    st.tuples(st.just("torn"), _records, _per_mille),
+    st.tuples(st.just("repair")),
+    # A corrupt append: one bit of the new batch flipped anywhere,
+    # framing newlines and non-ASCII results included.
+    st.tuples(st.just("flip"), _records, _per_mille, st.integers(0, 7)),
+    st.tuples(st.just("truncate"), _per_mille),
+    # Shrink in place, then grow past the old end before the reload.
+    st.tuples(st.just("rewrite"), _per_mille, _records),
+    # A new file (new inode): the old bytes with one bit of the
+    # consumed history flipped, plus a new batch.
+    st.tuples(st.just("replace"), _per_mille, st.integers(0, 7),
+              _records),
+), min_size=1, max_size=25)
+
+
+class TestIncrementalEqualsFullReplay:
+    @settings(max_examples=80, deadline=None)
+    @given(steps=_steps)
+    def test_long_lived_store_matches_a_fresh_replay(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            state_dir = Path(tmp)
+            log = state_dir / JobStore.LOG_NAME
+            live = JobStore(state_dir)
+            handed_out = []
+            t = 0
+
+            def batch(records):
+                nonlocal t
+                out = b""
+                for rtype, job in records:
+                    t += 1
+                    out += _record_line(rtype, job, t)
+                return out
+
+            for step in steps:
+                op = step[0]
+                if op in ("append", "flip", "torn"):
+                    data = batch(step[1])
+                    if op == "flip":
+                        data = _flip_bit(data, step[2], step[3])
+                    elif op == "torn":
+                        data = data[:1 + step[2] * (len(data) - 2) // 1000]
+                    with open(log, "ab") as f:
+                        f.write(data)
+                elif op == "repair":
+                    repair_torn_tail(log)
+                elif op in ("truncate", "rewrite") and log.exists():
+                    os.truncate(log, step[1] * log.stat().st_size // 1000)
+                    if op == "rewrite":
+                        with open(log, "ab") as f:
+                            f.write(batch(step[2]) * 3)
+                elif op == "replace" and log.exists():
+                    new = _flip_bit(log.read_bytes(), step[1], step[2])
+                    (state_dir / "next").write_bytes(new + batch(step[3]))
+                    os.replace(state_dir / "next", log)
+                got = live.load()
+                assert _view(got) == _view(JobStore(state_dir).load())
+                handed_out.append((got, _view(got)))
+            for state, view in handed_out:
+                assert _view(state) == view  # never mutated afterwards
 
 
 class TestFileLockTimeout:
