@@ -26,6 +26,7 @@ Run:  python examples/rescued_float16.py
 
 import numpy as np
 
+from repro.exec import RunSpec
 from repro.exec.tasks import decompose, execute_task, merge_results
 from repro.guard import (
     GuardConfig,
@@ -40,7 +41,7 @@ def main() -> None:
     # 'overflow16' rewrites fig4's Float16 task to the doomed
     # s = 16384 configuration — same injection as `repro run fig4
     # --guard repair --guard-inject overflow16`.
-    tasks = decompose("fig4", guard_inject="overflow16")
+    tasks = decompose("fig4", spec=RunSpec(guard_inject="overflow16"))
     doomed = next(t for t in tasks if t.params.get("dtype") == "float16")
     print("=== the doomed configuration ===")
     print(f"task: {doomed.label}")

@@ -51,7 +51,7 @@ from ..exec.journal import (
     load_journal,
 )
 
-__all__ = ["WORKLOADS", "Workload", "make_workload", "state_digest_of"]
+__all__ = ["WORKLOADS", "Workload", "make_workload"]
 
 
 def _check(name: str, ok: bool, detail: str = "") -> Dict[str, Any]:
@@ -511,9 +511,3 @@ def make_workload(name: str) -> Workload:
             f"{', '.join(WORKLOADS)}"
         ) from None
 
-
-def state_digest_of(workload: Workload, root: Path) -> Dict[str, str]:
-    """Expose a workload's recovered digest set (test helper)."""
-    if isinstance(workload, StoresWorkload):
-        return {"state": _digest(workload._state(root))}
-    raise ValueError(f"{workload.name} has no inspectable state digest")

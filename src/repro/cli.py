@@ -86,11 +86,14 @@ from .exec import (
     JournalError,
     JournalWriter,
     ResultCache,
+    RunSpec,
+    RunSpecError,
     guard_summary,
     journal_summary,
     load_journal,
     verify_journal,
 )
+from .exec.runspec import RUN_SCALES
 from .chaos.workloads import WORKLOADS as CHAOS_WORKLOADS
 from .guard import GUARD_MODES
 from .mpi.simcore import SIM_CORES, set_sim_core
@@ -136,10 +139,6 @@ class _GracefulShutdown:
         self._old.clear()
 
 
-def _experiment_names() -> str:
-    return ", ".join(sorted(REGISTRY)) + " (or 'all')"
-
-
 def _jobs_arg(value: str) -> int:
     jobs = int(value)
     if jobs < 0:
@@ -147,13 +146,6 @@ def _jobs_arg(value: str) -> int:
             f"must be >= 0 (0 = one per CPU), got {jobs}"
         )
     return jobs
-
-
-def _cadence_arg(value: str) -> int:
-    cadence = int(value)
-    if cadence < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {cadence}")
-    return cadence
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment and check claims")
     run_p.add_argument("key", help="experiment key (fig1..fig5, lst1) or 'all'")
     run_p.add_argument(
-        "--scale", default="ci", choices=["ci", "paper"],
+        "--scale", default="ci", choices=RUN_SCALES,
         help="problem scale (default: ci)",
     )
     run_p.add_argument(
@@ -238,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--guard", default="off", choices=list(GUARD_MODES),
-        dest="guard_mode",
         help="numerical guardrails: observe records sentinel/contract "
         "events without changing anything, strict fails a task on the "
         "first violation, repair additionally rescues ShallowWaters "
@@ -246,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: off)",
     )
     run_p.add_argument(
-        "--guard-cadence", type=_cadence_arg, default=16, metavar="N",
+        "--guard-cadence", type=int, default=16, metavar="N",
         help="simulation steps between guard sentinel probes "
         "(default: 16)",
     )
@@ -632,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--key", default=None, help="experiment key for run jobs",
     )
     ssubmit_p.add_argument(
-        "--scale", default=None, choices=["ci", "paper"],
+        "--scale", default=None, choices=RUN_SCALES,
         help="sweep scale for run jobs",
     )
     ssubmit_p.add_argument(
@@ -784,10 +775,8 @@ def _cmd_claims(key: str) -> int:
     try:
         exp = REGISTRY[key]
     except KeyError:
-        print(
-            f"unknown experiment {key!r}; valid names: {_experiment_names()}",
-            file=sys.stderr,
-        )
+        print(f"unknown experiment {key!r}; valid names: "
+              + ", ".join(sorted(REGISTRY)), file=sys.stderr)
         return 2
     for c in exp.claims:
         print(f"- {c.text}")
@@ -844,16 +833,6 @@ def _write_trace_file(recorder, path: str) -> int:
         return 2
     print(f"trace written to {path}", file=sys.stderr)
     return 0
-
-
-def _fault_spec_error(exc: Exception) -> None:
-    """One consistent stderr line for a malformed --faults value (the
-    FaultSpecError message already carries the 'bad fault spec' prefix
-    and the valid-name list)."""
-    msg = str(exc)
-    if not msg.startswith("bad fault spec"):
-        msg = f"bad fault spec: {msg}"
-    print(msg, file=sys.stderr)
 
 
 def _resolve_store_dir(arg: Optional[str]) -> str:
@@ -986,8 +965,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     try:
         for spec in severities:
             parse_fault_spec(spec, seed=args.seed)
-    except ValueError as exc:
-        _fault_spec_error(exc)
+    except ValueError as exc:  # FaultSpecError: "bad fault spec ..."
+        print(exc, file=sys.stderr)
         return 2
     if args.metrics_dir is not None:
         status = _probe_metrics_dir(args.metrics_dir)
@@ -1244,41 +1223,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return RESUMABLE_EXIT_CODE if interrupted else 0
 
 
-def _resume_mismatch(meta: dict, keys: List[str], scale: str,
-                     fault_spec: Optional[str], fault_seed: int,
-                     guard_meta: Optional[dict] = None,
-                     ) -> Optional[str]:
-    """Why a journal cannot resume this run (None when it can).
-
-    Resuming under different experiments, scale, fault plan or guard
-    settings would splice incompatible sweep points into one figure, so
-    any mismatch is a usage error — rerun with the journal's own
-    settings."""
-    if meta.get("keys") != keys:
-        return f"journal ran {meta.get('keys')}, requested {keys}"
-    if meta.get("scale") != scale:
-        return f"journal scale {meta.get('scale')!r}, requested {scale!r}"
-    if meta.get("fault_spec") != fault_spec:
-        return (f"journal fault spec {meta.get('fault_spec')!r}, "
-                f"requested {fault_spec!r}")
-    if meta.get("fault_seed", 0) != fault_seed:
-        return (f"journal fault seed {meta.get('fault_seed')}, "
-                f"requested {fault_seed}")
-    if meta.get("guard") != guard_meta:
-        return (f"journal guard settings {meta.get('guard')!r}, "
-                f"requested {guard_meta!r}")
-    return None
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    key = args.key
-    keys = list(REGISTRY) if key == "all" else [key]
-    if key != "all" and key not in REGISTRY:
-        print(
-            f"unknown experiment {key!r}; valid names: {_experiment_names()}",
-            file=sys.stderr,
-        )
+    try:
+        spec = RunSpec.from_args(args)
+    except RunSpecError as exc:
+        print(exc, file=sys.stderr)
         return 2
+    keys = spec.keys
 
     # Probe every output destination before any experiment work runs, so
     # a typo'd --trace/--journal/--resume path costs nothing.
@@ -1300,7 +1251,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if status:
             return status
     if args.guard_out is not None:
-        if args.guard_mode == "off":
+        if spec.guard is None:
             print(
                 "--guard-out needs an active guard; add "
                 "--guard observe|strict|repair",
@@ -1324,6 +1275,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"cannot resume from {args.resume_path!r}: {exc}",
                   file=sys.stderr)
             return 2
+        # Resuming under other settings would splice incompatible sweep
+        # points into one figure: the journalled run must be this run.
+        why = None
+        try:
+            journalled = RunSpec.from_journal(resume_state.meta or {})
+            field = journalled.first_difference(spec)
+            if field is not None:
+                why = (f"journal {field}={getattr(journalled, field)!r}, "
+                       f"requested {field}={getattr(spec, field)!r}; rerun "
+                       f"with the journal's {field.split('_')[0]} settings")
+        except RunSpecError as exc:
+            why = str(exc)
+        if why:
+            print(f"journal {args.resume_path!r} does not match this run: "
+                  f"{why}", file=sys.stderr)
+            return 2
         # A resumed run keeps appending to the same write-ahead log, so
         # a second crash resumes from the union of both segments.
         journal_path = args.resume_path
@@ -1345,33 +1312,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cache=ResultCache(args.cache_dir) if use_cache else None,
             task_timeout=args.task_timeout,
             retries=args.retries,
-            fault_spec=args.faults,
-            fault_seed=args.seed,
+            spec=spec,
             recorder=recorder,
             resume_state=resume_state,
             cancel_event=shutdown.event,
             grace=args.grace,
             heartbeat_timeout=args.watchdog,
-            guard_mode=args.guard_mode,
-            guard_cadence=args.guard_cadence,
-            guard_inject=args.guard_inject,
         )
     except ValueError as exc:
-        _fault_spec_error(exc)
+        print(exc, file=sys.stderr)
         return 2
-
-    if resume_state is not None:
-        mismatch = _resume_mismatch(
-            resume_state.meta or {}, keys, args.scale,
-            engine.fault_spec, args.seed, engine.guard_meta(),
-        )
-        if mismatch:
-            print(
-                f"journal {args.resume_path!r} does not match this run: "
-                f"{mismatch}",
-                file=sys.stderr,
-            )
-            return 2
 
     writer = None
     if journal_path is not None:
@@ -1393,7 +1343,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if profiler is not None:
                 profiler.enable()
             try:
-                outcomes = engine.run_many(keys, scale=args.scale)
+                outcomes = engine.run_many()
             finally:
                 if profiler is not None:
                     profiler.disable()
@@ -1414,7 +1364,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if status:
             return status
     if args.guard_out is not None:
-        report = engine.stats.guard_report() or {"mode": args.guard_mode}
+        report = engine.stats.guard_report() or {"mode": spec.guard}
         try:
             with open(args.guard_out, "w") as f:
                 json.dump(report, f, indent=2, sort_keys=True)
@@ -1436,7 +1386,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         status = _write_metric_document(
             args.metrics_dir,
             collect_run(engine.stats, outcomes, keys=keys,
-                        scale=args.scale),
+                        scale=spec.scale),
         )
         if status:
             return status
@@ -1452,7 +1402,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(note, file=sys.stderr)
     if interrupted:
         if journal_path is not None:
-            hint = f"; resume with: repro run {key} --resume {journal_path}"
+            hint = (f"; resume with: repro run {spec.key} "
+                    f"--resume {journal_path}")
         else:
             hint = " (no --journal: completed work was not saved)"
         print(
@@ -1463,7 +1414,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.json_stats:
         doc = engine.stats.as_dict()
-        doc["scale"] = args.scale
+        doc["scale"] = spec.scale
         for entry in doc["experiments"]:
             outcome = outcomes.get(entry["key"])
             if outcome is not None:

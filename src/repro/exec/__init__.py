@@ -2,6 +2,8 @@
 
 The experiment layer's answer to "runs as fast as the hardware allows":
 
+* :mod:`repro.exec.runspec` — :class:`RunSpec`, the one validated
+  description of a run that every entry point builds;
 * :mod:`repro.exec.tasks` — every registered experiment decomposed into
   independent sweep-point tasks (the task graph);
 * :mod:`repro.exec.scheduler` — process-pool fan-out with deterministic
@@ -17,14 +19,15 @@ The experiment layer's answer to "runs as fast as the hardware allows":
 
 Usage::
 
-    from repro.exec import Engine, ResultCache
+    from repro.exec import Engine, ResultCache, RunSpec
 
-    engine = Engine(jobs=4, cache=ResultCache())
-    outcomes = engine.run_many(["fig1", "fig4"], scale="ci")
+    engine = Engine(jobs=4, cache=ResultCache(), spec=RunSpec("fig4"))
+    outcomes = engine.run_many()
     print(engine.stats.render())
 """
 
-from .tasks import GUARD_INJECTIONS, Task, decompose, execute_task, merge_results
+from .runspec import GUARD_INJECTIONS, RunSpec, RunSpecError
+from .tasks import Task, decompose, execute_task, merge_results
 from .backoff import backoff_delay, backoff_schedule
 from .scheduler import Scheduler, TaskResult, effective_jobs
 from .cache import (
@@ -49,7 +52,6 @@ from .engine import (
     ExperimentStats,
     RunStats,
     TaskMetric,
-    run_experiment_cached,
 )
 
 __all__ = [
@@ -63,6 +65,8 @@ __all__ = [
     "task_key",
     "verify_journal",
     "GUARD_INJECTIONS",
+    "RunSpec",
+    "RunSpecError",
     "Task",
     "decompose",
     "execute_task",
@@ -80,5 +84,4 @@ __all__ = [
     "ExperimentStats",
     "RunStats",
     "TaskMetric",
-    "run_experiment_cached",
 ]

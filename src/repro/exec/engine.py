@@ -28,20 +28,18 @@ from ..core.experiments import (
     failed_outcome,
     scale_params,
 )
-from ..guard.monitor import parse_guard_mode
-from ..mpi.faults import parse_fault_spec
 from ..obs import MetricsRegistry, TraceRecorder
 from .cache import CacheStats, ResultCache, source_fingerprint
 from .journal import JournalState, JournalWriter, task_key
+from .runspec import RunSpec
 from .scheduler import Scheduler, TaskResult
-from .tasks import GUARD_INJECTIONS, Task, decompose, merge_results
+from .tasks import Task, decompose, merge_results
 
 __all__ = [
     "Engine",
     "ExperimentStats",
     "RunStats",
     "TaskMetric",
-    "run_experiment_cached",
 ]
 
 
@@ -284,10 +282,10 @@ class Engine:
     retries:
         Fresh-pool retries (with exponential backoff) after a worker
         crash breaks the pool.
-    fault_spec / fault_seed:
-        Deterministic fault-injection plan threaded to every task
-        (see :mod:`repro.mpi.faults`); ``None``/"off" disables it and
-        keeps output byte-identical to the fault-free path.
+    spec:
+        The run's :class:`~repro.exec.runspec.RunSpec`: its fault plan
+        and guard settings reach every task, and :meth:`run_many`
+        defaults to its experiments and scale.
     recorder:
         A :class:`~repro.obs.TraceRecorder` to collect spans (one per
         task, one per experiment, cache hit/miss annotated), the MPI
@@ -306,11 +304,6 @@ class Engine:
     cancel_event / grace / heartbeat_timeout:
         Graceful-shutdown plumbing, threaded to the scheduler — see
         :class:`~repro.exec.scheduler.Scheduler`.
-    guard_mode / guard_cadence / guard_inject:
-        The run's ``--guard`` setting (``None``/"off" disables guards
-        and keeps output byte-identical), the sentinel check cadence,
-        and an optional synthetic numerical-fault injection from
-        :data:`~repro.exec.tasks.GUARD_INJECTIONS`.
     """
 
     def __init__(
@@ -319,17 +312,13 @@ class Engine:
         cache: Optional[ResultCache] = None,
         task_timeout: Optional[float] = None,
         retries: int = 1,
-        fault_spec: Optional[str] = None,
-        fault_seed: int = 0,
+        spec: RunSpec = RunSpec(),
         recorder: Optional[TraceRecorder] = None,
         journal: Optional[JournalWriter] = None,
         resume_state: Optional[JournalState] = None,
         cancel_event: Optional[threading.Event] = None,
         grace: float = 5.0,
         heartbeat_timeout: Optional[float] = None,
-        guard_mode: Optional[str] = None,
-        guard_cadence: int = 16,
-        guard_inject: Optional[str] = None,
     ) -> None:
         self.scheduler = Scheduler(
             jobs=jobs, task_timeout=task_timeout, retries=retries,
@@ -340,39 +329,22 @@ class Engine:
         self.recorder = recorder
         self.journal = journal
         self.resume_state = resume_state
-        # Validate eagerly (and normalise "off" to None) so a bad spec
-        # fails the run before any work is scheduled.
-        self.fault_spec = (
-            fault_spec
-            if parse_fault_spec(fault_spec, seed=fault_seed) is not None
-            else None
-        )
-        self.fault_seed = fault_seed
-        self.guard_mode = parse_guard_mode(guard_mode)
-        if guard_cadence < 1:
-            raise ValueError("guard cadence must be >= 1")
-        self.guard_cadence = guard_cadence
-        if guard_inject is not None and guard_inject not in GUARD_INJECTIONS:
-            raise ValueError(
-                f"unknown guard injection {guard_inject!r}; "
-                f"expected one of {', '.join(GUARD_INJECTIONS)}"
-            )
-        self.guard_inject = guard_inject
+        self.spec = spec
         self.stats = RunStats(
             jobs=self.scheduler.jobs,
             cache=cache.stats if cache is not None else None,
-            fault_spec=self.fault_spec,
-            fault_seed=fault_seed,
-            guard_mode=self.guard_mode,
-            guard_cadence=guard_cadence,
-            guard_inject=guard_inject,
+            fault_spec=self.spec.faults,
+            fault_seed=self.spec.seed,
+            guard_mode=self.spec.guard,
+            guard_cadence=self.spec.guard_cadence,
+            guard_inject=self.spec.guard_inject,
         )
 
     # -- single experiment ------------------------------------------------
     def run(
         self,
         key: str,
-        scale: str = "ci",
+        scale: Optional[str] = None,
         extra_params: Optional[Dict[str, Any]] = None,
     ) -> Outcome:
         """Run (or fetch) one experiment; equivalent to the serial
@@ -382,12 +354,15 @@ class Engine:
     # -- many experiments, one scheduler submission -----------------------
     def run_many(
         self,
-        keys: Sequence[str],
-        scale: str = "ci",
+        keys: Optional[Sequence[str]] = None,
+        scale: Optional[str] = None,
         extra_params: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Outcome]:
-        """Run several experiments, flattening their tasks into one
-        scheduler submission.  Returns outcomes keyed like ``keys``."""
+        """Run several experiments (default: the spec's), flattening
+        their tasks into one scheduler submission.  Returns outcomes
+        keyed like ``keys``."""
+        keys = self.spec.keys if keys is None else keys
+        scale = self.spec.scale if scale is None else scale
         with WallTimer() as wall:
             outcomes: Dict[str, Outcome] = {}
             pending: List[tuple] = []
@@ -415,13 +390,8 @@ class Engine:
                     pending.append((
                         key,
                         decompose(
-                            key, scale,
-                            fault_spec=self.fault_spec,
-                            fault_seed=self.fault_seed,
+                            key, scale, self.spec,
                             trace=self.recorder is not None,
-                            guard_mode=self.guard_mode,
-                            guard_cadence=self.guard_cadence,
-                            guard_inject=self.guard_inject,
                         ),
                     ))
 
@@ -441,9 +411,7 @@ class Engine:
             if self.journal is not None:
                 self.journal.run_start(
                     list(keys), scale, self.scheduler.jobs, fingerprint,
-                    fault_spec=self.fault_spec, fault_seed=self.fault_seed,
-                    resumed=self.resume_state is not None,
-                    guard=self.guard_meta(),
+                    spec=self.spec, resumed=self.resume_state is not None,
                 )
                 for t in to_run:
                     self.journal.task_dispatch(t)
@@ -498,19 +466,6 @@ class Engine:
         return outcomes
 
     # -- internals --------------------------------------------------------
-    def guard_meta(self) -> Optional[Dict[str, Any]]:
-        """Guard settings for the journal's run header; None when guards
-        are fully off (keeps guard-free journals byte-identical)."""
-        if self.guard_mode is None and self.guard_inject is None:
-            return None
-        meta: Dict[str, Any] = {
-            "mode": self.guard_mode or "off",
-            "cadence": self.guard_cadence,
-        }
-        if self.guard_inject is not None:
-            meta["inject"] = self.guard_inject
-        return meta
-
     def _journal_result(self, r: TaskResult) -> None:
         """Scheduler ``on_result`` hook: append one fsync'd completion
         record per task, in completion order."""
@@ -601,18 +556,17 @@ class Engine:
         params = scale_params(key, scale)
         if extra_params:
             params.update(extra_params)
-        if self.fault_spec is not None:
+        spec = self.spec
+        if spec.faults is not None:
             # Faulted outcomes must never shadow (or be shadowed by)
             # fault-free ones: the plan is part of the content address.
-            params["__faults__"] = {
-                "spec": self.fault_spec, "seed": self.fault_seed,
-            }
-        if self.guard_mode == "repair" or self.guard_inject is not None:
+            params["__faults__"] = {"spec": spec.faults, "seed": spec.seed}
+        if spec.guard == "repair" or spec.guard_inject is not None:
             # Repair can change payloads (remediation) and an injection
             # always does — both are part of the content address.
             # observe/strict never alter a successful result, so their
             # cache keys stay identical to an unguarded run.
-            params["__guard__"] = self.guard_meta()
+            params["__guard__"] = spec.guard_meta()
         return params
 
     def _cache_get(
@@ -684,16 +638,3 @@ class Engine:
         )
         return outcome
 
-
-def run_experiment_cached(
-    key: str,
-    scale: str = "ci",
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    extra_params: Optional[Dict[str, Any]] = None,
-) -> Outcome:
-    """One-shot convenience: engine + cache for a single experiment."""
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    return Engine(jobs=jobs, cache=cache).run(
-        key, scale=scale, extra_params=extra_params
-    )

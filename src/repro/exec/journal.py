@@ -47,7 +47,7 @@ import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.atomicio import (
     canonical_json,
@@ -56,6 +56,7 @@ from ..core.atomicio import (
     orphan_tmp_files,
     repair_torn_tail,
 )
+from .runspec import RunSpec
 from .tasks import Task
 
 __all__ = [
@@ -66,6 +67,7 @@ __all__ = [
     "JournalWriter",
     "task_key",
     "load_journal",
+    "replay_records",
     "verify_journal",
     "journal_summary",
     "guard_summary",
@@ -110,6 +112,30 @@ def decode_record(line: str) -> Dict[str, Any]:
     if check != _checksum(doc):
         raise JournalError("record checksum mismatch")
     return doc
+
+
+def replay_records(text: str, counts: Any) -> Iterator[Dict[str, Any]]:
+    """Yield the checksum-valid records of WAL ``text`` (split into
+    lines as a text-mode read splits them), tallying on ``counts`` — a
+    :class:`JournalState` or the job log's ``ServeState``: ``records``
+    per record, ``corrupt_records`` per undecodable line skipped, and
+    ``torn_tail`` for an undecodable last line with no newline
+    (dropped: an interrupted append)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    ends_clean = lines[-1] == ""
+    if ends_clean:
+        lines.pop()
+    for i, line in enumerate(lines):
+        try:
+            rec = decode_record(line)
+        except JournalError:
+            if i == len(lines) - 1 and not ends_clean:
+                counts.torn_tail = True
+            else:
+                counts.corrupt_records += 1
+            continue
+        counts.records += 1
+        yield rec
 
 
 def task_key(task: Task) -> str:
@@ -186,11 +212,10 @@ class JournalWriter:
         scale: str,
         jobs: int,
         fingerprint: str,
-        fault_spec: Optional[str] = None,
-        fault_seed: int = 0,
+        spec: RunSpec = RunSpec(),
         resumed: bool = False,
-        guard: Optional[Dict[str, Any]] = None,
     ) -> None:
+        """The run header; fault plan and guard block from ``spec``."""
         doc: Dict[str, Any] = {
             "type": "run_start",
             "version": JOURNAL_FORMAT_VERSION,
@@ -198,10 +223,11 @@ class JournalWriter:
             "scale": scale,
             "jobs": jobs,
             "fingerprint": fingerprint,
-            "fault_spec": fault_spec,
-            "fault_seed": fault_seed,
+            "fault_spec": spec.faults,
+            "fault_seed": spec.seed,
             "resumed": resumed,
         }
+        guard = spec.guard_meta()
         if guard is not None:
             # Only present for guarded/injected runs: a guard-free
             # journal stays byte-identical to earlier versions, and
@@ -318,22 +344,7 @@ def load_journal(path: Union[str, os.PathLike]) -> JournalState:
     # errors="replace": a bit-flipped byte that is no longer valid
     # UTF-8 must degrade to one corrupt (checksum-failing) record, not
     # abort the whole replay with UnicodeDecodeError.
-    raw = path.read_text(errors="replace")
-    lines = raw.split("\n")
-    ends_clean = raw.endswith("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for i, line in enumerate(lines):
-        last = i == len(lines) - 1
-        try:
-            rec = decode_record(line)
-        except JournalError:
-            if last and not ends_clean:
-                state.torn_tail = True  # interrupted append: drop it
-            else:
-                state.corrupt_records += 1
-            continue
-        state.records += 1
+    for rec in replay_records(path.read_text(errors="replace"), state):
         kind = rec.get("type")
         if kind == "run_start":
             state.meta = rec

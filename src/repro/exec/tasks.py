@@ -28,6 +28,7 @@ from ..core import figures
 from ..core.experiments import SCALES, scale_params
 from ..guard.monitor import get_guard
 from ..guard.policy import REMEDIABLE_KINDS, escalate
+from .runspec import GUARD_INJECTIONS, RunSpec
 
 __all__ = [
     "GUARD_INJECTIONS",
@@ -36,13 +37,6 @@ __all__ = [
     "execute_task",
     "merge_results",
 ]
-
-#: Synthetic numerical-fault injections (``--guard-inject``).  Applied at
-#: decomposition time — the injected parameters *are* the task's params,
-#: so caches, journals, and resume validation stay consistent for free.
-#: ``overflow16``: run the Fig. 4 Float16 point with an oversized scaling
-#: (2^14) and plain integration, which overflows to Inf at every scale.
-GUARD_INJECTIONS = ("overflow16",)
 
 _OVERFLOW16_SCALING = 16384.0
 
@@ -128,29 +122,19 @@ _FIG1_FORMATS = ("Float16", "Float32", "Float64")
 def decompose(
     key: str,
     scale: str = "ci",
-    fault_spec: Optional[str] = None,
-    fault_seed: int = 0,
+    spec: RunSpec = RunSpec(),
     trace: bool = False,
-    guard_mode: Optional[str] = None,
-    guard_cadence: int = 16,
-    guard_inject: Optional[str] = None,
 ) -> List[Task]:
     """Decompose one registered experiment into independent tasks.
 
     Tasks are returned in a deterministic order that
     :func:`merge_results` relies on; indices are contiguous from 0.
-    A non-None ``fault_spec`` is stamped onto every task so
-    :func:`execute_task` activates the fault plan around execution;
-    ``trace=True`` stamps every task to record and return a trace;
-    ``guard_mode``/``guard_cadence`` stamp the run's ``--guard``
-    setting.  ``guard_inject`` applies a synthetic numerical fault from
-    :data:`GUARD_INJECTIONS` by rewriting the affected task's params.
+    ``spec`` (a :class:`~repro.exec.runspec.RunSpec`) stamps the run's
+    fault plan and guard settings onto every task; its ``guard_inject``
+    rewrites the affected task's params, so caches, journals and resume
+    validation see the injection for free.
+    ``trace=True`` stamps every task to record and return a trace.
     """
-    if guard_inject is not None and guard_inject not in GUARD_INJECTIONS:
-        raise ValueError(
-            f"unknown guard injection {guard_inject!r}; "
-            f"expected one of {', '.join(GUARD_INJECTIONS)}"
-        )
     params = scale_params(key, scale)
     tasks: List[Task] = []
 
@@ -162,11 +146,11 @@ def decompose(
                 index=len(tasks),
                 kind=kind,
                 params=task_params,
-                fault_spec=fault_spec,
-                fault_seed=fault_seed,
+                fault_spec=spec.faults,
+                fault_seed=spec.seed,
                 trace=trace,
-                guard_mode=guard_mode,
-                guard_cadence=guard_cadence,
+                guard_mode=spec.guard,
+                guard_cadence=spec.guard_cadence,
             )
         )
 
@@ -193,9 +177,9 @@ def decompose(
             nx=params["nx"], ny=params["ny"], nsteps=params["nsteps"],
             dtype="float64",
         )
-        if guard_inject == "overflow16":
-            # Synthetic overflow: an oversized scaling pushes the state
-            # past Float16's floatmax within the first few steps.
+        if spec.guard_inject == "overflow16":
+            # Synthetic overflow: scaling 2^14 with plain integration
+            # passes Float16's floatmax within a few steps, any scale.
             add(
                 "fig4_field",
                 nx=params["nx"], ny=params["ny"], nsteps=params["nsteps"],

@@ -45,7 +45,6 @@ FLOAT = ScalarType("float", FLOAT32)
 DOUBLE = ScalarType("double", FLOAT64)
 
 _WIDER = {HALF: FLOAT, FLOAT: DOUBLE}
-_SCALARS = {t.llvm_name: t for t in (HALF, FLOAT, DOUBLE)}
 
 
 def wider(t: ScalarType) -> ScalarType:
@@ -54,10 +53,6 @@ def wider(t: ScalarType) -> ScalarType:
         return _WIDER[t]
     except KeyError:
         raise TypeError(f"no wider type than {t}") from None
-
-
-def scalar_by_name(name: str) -> ScalarType:
-    return _SCALARS[name]
 
 
 @dataclass(frozen=True)

@@ -108,15 +108,7 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, Any]:
     from ..exec.tasks import decompose, execute_task, merge_results
     from ..mpi.simulator import DeadlockError, RankFailedError
 
-    tasks = decompose(
-        spec.experiment,
-        spec.scale,
-        fault_spec=spec.faults,
-        fault_seed=spec.fault_seed,
-        guard_mode=spec.guard,
-        guard_cadence=spec.guard_cadence,
-        guard_inject=spec.guard_inject,
-    )
+    tasks = decompose(spec.experiment, spec.scale, spec.run_spec)
     recorder = TraceRecorder()
     payloads: List[Any] = []
     failures: List[Dict[str, str]] = []

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.atomicio import canonical_json
 from ..core.experiments import SCALES
-from ..guard.monitor import GUARD_MODES
+from ..exec.runspec import RunSpec, RunSpecError
 
 __all__ = [
     "ScenarioError",
@@ -77,11 +77,6 @@ class ScenarioSpec:
     tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # Late imports keep this module importable from exec workers
-        # without dragging the whole benchsuite in at startup.
-        from ..exec.tasks import GUARD_INJECTIONS
-        from ..mpi.faults import FaultSpecError, parse_fault_spec
-
         if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
             raise ScenarioError(
                 f"scenario name {self.name!r} must match {_NAME_RE.pattern}"
@@ -91,46 +86,12 @@ class ScenarioSpec:
                 f"scenario {self.name!r}: unknown experiment "
                 f"{self.experiment!r}; valid: " + ", ".join(sorted(SCALES))
             )
-        if self.scale not in SCALES[self.experiment]:
-            raise ScenarioError(
-                f"scenario {self.name!r}: experiment {self.experiment!r} "
-                f"has no scale {self.scale!r}; valid: "
-                + ", ".join(sorted(SCALES[self.experiment]))
-            )
         try:
-            plan = parse_fault_spec(self.faults, seed=self.fault_seed)
-        except FaultSpecError as exc:
-            raise ScenarioError(f"scenario {self.name!r}: {exc}") from exc
-        if plan is None:
-            object.__setattr__(self, "faults", None)  # normalise "off"
-        if not isinstance(self.fault_seed, int) or isinstance(
-            self.fault_seed, bool
-        ):
-            raise ScenarioError(
-                f"scenario {self.name!r}: fault_seed must be an int, "
-                f"got {self.fault_seed!r}"
-            )
-        guard = self.guard
-        if guard in ("", "off"):
-            guard = None
-        if guard is not None and guard not in GUARD_MODES:
-            raise ScenarioError(
-                f"scenario {self.name!r}: unknown guard mode "
-                f"{self.guard!r}; valid: " + ", ".join(GUARD_MODES)
-            )
-        object.__setattr__(self, "guard", guard)
-        if not isinstance(self.guard_cadence, int) or self.guard_cadence < 1:
-            raise ScenarioError(
-                f"scenario {self.name!r}: guard_cadence must be an int "
-                f">= 1, got {self.guard_cadence!r}"
-            )
-        if (self.guard_inject is not None
-                and self.guard_inject not in GUARD_INJECTIONS):
-            raise ScenarioError(
-                f"scenario {self.name!r}: unknown guard injection "
-                f"{self.guard_inject!r}; valid: "
-                + ", ".join(GUARD_INJECTIONS)
-            )
+            run = self.run_spec
+        except RunSpecError as exc:
+            raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
+        object.__setattr__(self, "faults", run.faults)  # normalise "off"
+        object.__setattr__(self, "guard", run.guard)
         if not isinstance(self.tags, tuple):
             object.__setattr__(self, "tags", tuple(self.tags))
         if not all(isinstance(t, str) for t in self.tags):
@@ -139,6 +100,13 @@ class ScenarioSpec:
             )
 
     # -- identity ----------------------------------------------------------
+    @property
+    def run_spec(self) -> RunSpec:
+        """The run this scenario makes (where its fields are checked)."""
+        return RunSpec(self.experiment, self.scale, self.faults,
+                       self.fault_seed, self.guard, self.guard_cadence,
+                       self.guard_inject)
+
     def identity(self) -> Dict[str, Any]:
         """The behavioural knobs — everything that can change the
         payload, nothing that can't (name, description, tags)."""

@@ -13,7 +13,7 @@ Supervision rules (the job lifecycle state machine, see
 
 * a worker that *exits 75* drained on SIGTERM — its job is requeued
   at the **same** attempt with no backoff (a drain is the operator's
-  doing, not the job's fault);
+  doing, not the job's fault), as is one that dies of SIGTERM mid-drain;
 * a worker that *dies* (crash, SIGKILL) leaves its job leased; the
   daemon requeues it at ``attempt+1`` after the deterministic backoff
   :func:`~repro.serve.store.job_backoff` — the same happens when an
@@ -139,11 +139,15 @@ class ServeDaemon:
             start_new_session=True,  # orphan-tolerant: survives daemon death
         )
 
-    def _requeue(self, job_id: str, attempt: int, reason: str) -> None:
-        """Requeue or, past the attempt budget, fail terminally."""
+    def _requeue(self, job_id: str, attempt: int, reason: str,
+                 code: Optional[int] = None) -> None:
+        """Requeue or, past the attempt budget, fail terminally; ``code``
+        is the reaped worker's exit code, logged with the outcome."""
+        exited = "" if code is None else f" (worker exit {code})"
         if reason == "drain":
             # Operator-initiated: same attempt, immediately leasable.
             self.store.job_requeued(job_id, attempt, "drain", 0.0)
+            self._log(f"{job_id}: handed back on drain{exited}")
             return
         if attempt >= self.config.max_attempts:
             self.store.job_failed(
@@ -152,7 +156,8 @@ class ServeDaemon:
                 f"{self.config.lease_timeout:g}s on attempt {attempt}; "
                 f"{self.config.max_attempts} attempt(s) exhausted",
             )
-            self._log(f"{job_id}: failed after {attempt} expired lease(s)")
+            self._log(f"{job_id}: failed after {attempt} expired "
+                      f"lease(s){exited}")
             return
         # The record carries the attempt that just failed; the next
         # lease is attempt+1.  Delay is the pure (job_id, attempt)
@@ -161,7 +166,7 @@ class ServeDaemon:
         self.store.job_requeued(job_id, attempt, reason, delay)
         self._log(
             f"{job_id}: requeued ({reason}), attempt {attempt + 1} "
-            f"in {delay:.2f}s"
+            f"in {delay:.2f}s{exited}"
         )
 
     @staticmethod
@@ -194,13 +199,14 @@ class ServeDaemon:
             job = state.jobs.get(job_id)
             if job is None or job.status != "leased":
                 continue  # worker recorded its own outcome (or cancel won)
-            if code == RESUMABLE_EXIT_CODE:
-                self._requeue(job_id, job.attempt, "drain")
-            else:
-                # Crashed/killed without a terminal record: the lease
-                # is dead the moment the process is — no need to wait
-                # out the timeout.
-                self._requeue(job_id, job.attempt, "lease-expired")
+            # Exit 75 is a drain, and so is a SIGTERM death mid-drain
+            # (drain() can signal a worker still importing, before its
+            # handler is installed).  Any other death without a terminal
+            # record kills the lease at once: no timeout to wait out.
+            drained = code == RESUMABLE_EXIT_CODE or (
+                self.draining and code == -signal.SIGTERM)
+            self._requeue(job_id, job.attempt,
+                          "drain" if drained else "lease-expired", code)
             reaped = True
         if reaped:
             state = self.store.load()

@@ -63,20 +63,33 @@ from ..core.atomicio import (
     repair_torn_tail,
 )
 from ..exec.backoff import backoff_delay
-from ..exec.journal import JournalError, decode_record, encode_record
+from ..exec.journal import encode_record, replay_records
+from ..exec.runspec import RUN_SPEC_FIELDS, RunSpec, RunSpecError
 
 __all__ = [
     "JOB_KINDS",
+    "JOB_SPEC_KEYS",
     "JOB_TERMINAL_STATUSES",
     "JobRecord",
     "JobStore",
     "ServeState",
     "ServeStoreError",
     "job_backoff",
+    "validate_job_spec",
 ]
 
+#: Spec keys each job kind accepts: what its worker reads.  Keys
+#: starting with ``_`` are test levers and always pass; any other key
+#: is refused at submit, never ignored.
+JOB_SPEC_KEYS: Dict[str, Tuple[str, ...]] = {
+    "run": RUN_SPEC_FIELDS + ("jobs", "grace"),
+    "faults": ("seed", "severities", "nranks", "repetitions"),
+    "campaign": ("selector", "budget", "jobs", "grace"),
+    "autopilot": ("pack", "budget", "seed", "jobs"),
+}
+
 #: Job kinds a worker knows how to execute.
-JOB_KINDS = ("run", "faults", "campaign", "autopilot")
+JOB_KINDS = tuple(JOB_SPEC_KEYS)
 
 #: Statuses from which a job never leaves.
 JOB_TERMINAL_STATUSES = ("done", "failed", "cancelled")
@@ -90,6 +103,33 @@ REDISPATCH_CAP_S = 30.0
 class ServeStoreError(ValueError):
     """A job-store operation that cannot be honoured (unknown job,
     unknown kind, malformed state dir)."""
+
+
+def validate_job_spec(kind: str, spec: Any) -> Optional[RunSpec]:
+    """Refuse an unknown kind, a non-object spec, a key the kind does
+    not read, or (``run``) values that make no valid
+    :class:`~repro.exec.runspec.RunSpec`; returns a run job's RunSpec."""
+    if kind not in JOB_KINDS:
+        raise ServeStoreError(
+            f"unknown job kind {kind!r} (expected one of "
+            f"{', '.join(JOB_KINDS)})"
+        )
+    if not isinstance(spec, dict):
+        raise ServeStoreError("job spec must be a JSON object")
+    accepted = JOB_SPEC_KEYS[kind]
+    unknown = sorted(k for k in spec if k[:1] != "_" and k not in accepted)
+    if unknown:
+        raise ServeStoreError(
+            f"unknown {kind} spec key(s) " + ", ".join(map(repr, unknown))
+            + "; accepted: " + ", ".join(accepted)
+        )
+    if kind != "run":
+        return None
+    try:
+        return RunSpec.from_dict(
+            {k: spec[k] for k in RUN_SPEC_FIELDS if k in spec})
+    except RunSpecError as exc:
+        raise ServeStoreError(f"bad run spec: {exc}") from None
 
 
 def job_backoff(job_id: str, attempt: int) -> float:
@@ -257,45 +297,36 @@ def _apply(state: ServeState, rec: Dict[str, Any]) -> None:
 
 def _fold(base: ServeState, chunk: bytes) -> Tuple[ServeState, int]:
     """Replay the log bytes ``chunk`` on top of ``base`` with the WAL
-    recovery rules (torn tail dropped, corrupt interior skipped and
-    counted); returns the new state and the number of lines decoded.
+    recovery rules of :func:`~repro.exec.journal.replay_records`;
+    returns the new state and the number of lines decoded.
 
     ``base`` is never mutated: the new state gets its own job table,
     and each job a record touches is copied before the first change.
-    Lines split exactly as a text-mode read of the whole file would
-    (any of ``\\n``, ``\\r\\n``, ``\\r``), so folding a log chunk by
-    chunk from line boundaries equals folding it in one pass.
+    Lines split exactly as a text-mode read of the whole file would, so
+    folding a log chunk by chunk from line boundaries equals folding
+    it in one pass.
     """
-    # errors="replace": on-disk byte rot degrades to one corrupt
-    # record, never an undecodable store.
-    text = chunk.decode("utf-8", errors="replace")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    ends_clean = lines[-1] == ""
-    if ends_clean:
-        lines.pop()
     state = ServeState(
         jobs=dict(base.jobs),
         records=base.records,
         corrupt_records=base.corrupt_records,
     )
     owned: set = set()  # jobs already copied for this fold
-    for i, line in enumerate(lines):
-        try:
-            rec = decode_record(line)
-        except JournalError:
-            if i == len(lines) - 1 and not ends_clean:
-                state.torn_tail = True
-            else:
-                state.corrupt_records += 1
-            continue
-        state.records += 1
+    # errors="replace": on-disk byte rot degrades to one corrupt
+    # record, never an undecodable store.
+    for rec in replay_records(chunk.decode("utf-8", errors="replace"),
+                              state):
         job_id = rec.get("job", "")
         if job_id not in owned:
             owned.add(job_id)
             if job_id in state.jobs:
                 state.jobs[job_id] = copy.copy(state.jobs[job_id])
         _apply(state, rec)
-    return state, len(lines)
+    # Every line is a record, a corrupt record or the torn tail.
+    decoded = (state.records - base.records
+               + state.corrupt_records - base.corrupt_records
+               + state.torn_tail)
+    return state, decoded
 
 
 class JobStore:
@@ -366,14 +397,9 @@ class JobStore:
             self._append_locked(doc)
 
     def submit(self, kind: str, spec: Dict[str, Any]) -> str:
-        """Assign the next ``job-NNNNNN`` id and journal the submit."""
-        if kind not in JOB_KINDS:
-            raise ServeStoreError(
-                f"unknown job kind {kind!r} (expected one of "
-                f"{', '.join(JOB_KINDS)})"
-            )
-        if not isinstance(spec, dict):
-            raise ServeStoreError("job spec must be a JSON object")
+        """Validate the job (:func:`validate_job_spec`), assign the next
+        ``job-NNNNNN`` id and journal the submit."""
+        validate_job_spec(kind, spec)
         with self._lock():
             state = self.load()
             seq = 1 + max(

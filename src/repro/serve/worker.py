@@ -14,7 +14,8 @@ Execution per kind mirrors the CLI command byte-for-byte (same engine
 wiring, same collector) so a job's metric-document ``digest`` is
 identical to ``repro run/faults/campaign/autopilot`` at any job count:
 
-* ``run``       → :class:`repro.exec.Engine` with the per-job journal
+* ``run``       → :class:`repro.exec.Engine` built from the spec's
+  :class:`~repro.exec.runspec.RunSpec`, with the per-job journal
   (resumed when a previous attempt left one) → ``collect_run``;
 * ``faults``    → ``fault_drift_report`` → ``collect_faults``;
 * ``campaign``  → ``resolve_selector``/``plan_campaign``/
@@ -42,11 +43,14 @@ import signal
 import sys
 import threading
 import time
+from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.atomicio import atomic_write_text, canonical_json
-from ..exec.journal import RESUMABLE_EXIT_CODE, JournalError, load_journal
-from .store import JobStore
+from ..exec.journal import (RESUMABLE_EXIT_CODE, JournalError,
+                            JournalState, load_journal)
+from ..exec.runspec import RunSpec
+from .store import JobStore, validate_job_spec
 
 __all__ = ["execute_job", "finalize_job", "main"]
 
@@ -95,7 +99,16 @@ def _job_summary(kind: str, doc: Dict[str, Any]) -> Dict[str, Any]:
     return summary
 
 
+def _prior_journal(path: Path) -> Optional[JournalState]:
+    """The journal an earlier attempt left at ``path``, if usable."""
+    try:
+        return load_journal(path) if path.exists() else None
+    except JournalError:
+        return None  # unusable first-attempt tail: start over
+
+
 def _execute_run(
+    run: RunSpec,
     spec: Dict[str, Any],
     store: JobStore,
     job_id: str,
@@ -103,34 +116,24 @@ def _execute_run(
 ) -> Tuple[Dict[str, Any], bool]:
     """One engine run with the per-job WAL; returns
     ``(metric document, interrupted)``."""
-    from ..core.experiments import REGISTRY
     from ..exec import Engine, JournalWriter
     from ..obs.collector import collect_run
 
-    key = spec.get("key", "all")
-    keys = list(REGISTRY) if key == "all" else [key]
-    scale = spec.get("scale", "ci")
     journal_path = store.journal_path(job_id)
-    resume_state = None
-    if journal_path.exists():
-        try:
-            resume_state = load_journal(journal_path)
-        except JournalError:
-            resume_state = None  # unusable first-attempt tail: start over
     engine = Engine(
         jobs=int(spec.get("jobs", 1)),
-        fault_spec=spec.get("faults"),
-        fault_seed=int(spec.get("seed", 0)),
-        resume_state=resume_state,
+        spec=run,
+        resume_state=_prior_journal(journal_path),
         cancel_event=cancel,
         grace=float(spec.get("grace", 5.0)),
     )
     with JournalWriter(journal_path) as writer:
         engine.journal = writer
-        outcomes = engine.run_many(keys, scale=scale)
+        outcomes = engine.run_many()
     if engine.stats.interrupted:
         return {}, True
-    return collect_run(engine.stats, outcomes, keys=keys, scale=scale), False
+    doc = collect_run(engine.stats, outcomes, keys=run.keys, scale=run.scale)
+    return doc, False
 
 
 def _execute_faults(
@@ -173,13 +176,7 @@ def _execute_campaign(
     name, specs = resolve_selector(spec.get("selector", "mixed-chaos"))
     plan = plan_campaign(name, specs, budget=spec.get("budget"))
     journal_path = store.journal_path(job_id)
-    resume: Optional[str] = None
-    if journal_path.exists():
-        try:
-            load_journal(journal_path)
-            resume = str(journal_path)
-        except JournalError:
-            resume = None
+    resume = str(journal_path) if _prior_journal(journal_path) else None
     doc = run_campaign(
         plan,
         jobs=int(spec.get("jobs", 1)),
@@ -223,16 +220,16 @@ def execute_job(
     Returns ``(document, interrupted)`` — ``interrupted=True`` means a
     graceful drain checkpointed the job instead of finishing it.
     """
+    # Submit refuses a bad spec; this also refuses one logged before.
+    run = validate_job_spec(kind, spec)
     spec = {k: v for k, v in spec.items() if not k.startswith("_")}
-    if kind == "run":
-        return _execute_run(spec, store, job_id, cancel)
+    if run is not None:
+        return _execute_run(run, spec, store, job_id, cancel)
     if kind == "faults":
         return _execute_faults(spec, cancel)
     if kind == "campaign":
         return _execute_campaign(spec, store, job_id, cancel)
-    if kind == "autopilot":
-        return _execute_autopilot(spec, cancel)
-    raise ValueError(f"unknown job kind {kind!r}")
+    return _execute_autopilot(spec, cancel)
 
 
 def finalize_job(

@@ -309,11 +309,6 @@ def _south(a, out) -> None:  # np.roll(a, 1, axis=-2)
     out[..., 0, :] = a[..., -1, :]
 
 
-def _north_zero(a, out) -> None:
-    out[..., :-1, :] = a[..., 1:, :]
-    out[..., -1, :] = 0
-
-
 def _north_reflect(a, out) -> None:
     out[..., :-1, :] = a[..., 1:, :]
     out[..., -1, :] = a[..., -1, :]
@@ -322,11 +317,6 @@ def _north_reflect(a, out) -> None:
 def _south_zero(a, out) -> None:
     out[..., 1:, :] = a[..., :-1, :]
     out[..., 0, :] = 0
-
-
-def _south_reflect(a, out) -> None:
-    out[..., 1:, :] = a[..., :-1, :]
-    out[..., 0, :] = a[..., 0, :]
 
 
 # ---------------------------------------------------------------------------

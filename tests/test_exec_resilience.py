@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.core.experiments import failed_outcome
-from repro.exec import Engine, ResultCache, Scheduler, Task
+from repro.exec import Engine, ResultCache, RunSpec, Scheduler, Task
 from repro.exec import tasks as tasks_mod
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -167,7 +167,7 @@ class TestEngineDegradation:
 
     def test_bad_fault_spec_rejected_eagerly(self):
         with pytest.raises(ValueError, match="unknown fault preset"):
-            Engine(fault_spec="bogus")
+            Engine(spec=RunSpec(faults="bogus"))
 
     def test_faulted_run_keyed_separately_in_cache(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="fp")
@@ -175,7 +175,7 @@ class TestEngineDegradation:
         assert cache.stats.writes == 1
         faulted = Engine(
             jobs=1, cache=ResultCache(tmp_path, fingerprint="fp"),
-            fault_spec="lossy", fault_seed=1,
+            spec=RunSpec(faults="lossy", seed=1),
         )
         faulted.run("lst1")
         # The fault-free entry must not be served for the faulted run.

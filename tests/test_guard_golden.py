@@ -31,7 +31,7 @@ import pytest
 
 from repro.core.atomicio import atomic_write_text
 from repro.core.experiments import REGISTRY
-from repro.exec import Engine
+from repro.exec import Engine, RunSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "fig4.json"
 
@@ -101,7 +101,7 @@ def test_fig4_golden_with_guards_off(request: pytest.FixtureRequest):
 
 def test_fig4_byte_identical_under_observe():
     off = Engine(jobs=1)
-    on = Engine(jobs=1, guard_mode="observe")
+    on = Engine(jobs=1, spec=RunSpec(guard="observe"))
     o_off, o_on = off.run("fig4"), on.run("fig4")
     # The whole outcome (fields, claims, report text) is byte-identical.
     assert pickle.dumps(o_off) == pickle.dumps(o_on)
@@ -111,7 +111,9 @@ def test_fig4_byte_identical_under_observe():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_forced_overflow_rescued_under_repair():
-    engine = Engine(jobs=1, guard_mode="repair", guard_inject="overflow16")
+    engine = Engine(
+        jobs=1, spec=RunSpec(guard="repair", guard_inject="overflow16")
+    )
     outcome = engine.run("fig4")
     # The injected point overflowed (violation recorded) and was rescued
     # by the scaling step alone — the paper's own Fig. 4 remedy.
@@ -147,7 +149,7 @@ def test_rescued_field_tracks_float64_directly():
     from repro.guard import GuardConfig, GuardMonitor, guarding
 
     tasks = decompose(
-        "fig4", guard_mode="repair", guard_inject="overflow16"
+        "fig4", spec=RunSpec(guard="repair", guard_inject="overflow16")
     )
     payloads = []
     with np.errstate(all="ignore"):

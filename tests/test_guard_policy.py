@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.exec import Engine, decompose, task_key
+from repro.exec import Engine, RunSpec, decompose, task_key
 from repro.exec.tasks import GUARD_INJECTIONS
 from repro.guard import (
     GuardConfig,
@@ -120,24 +120,26 @@ class TestTaskIdentity:
         base = [task_key(t) for t in decompose("fig4")]
         for mode in ("observe", "strict"):
             assert [
-                task_key(t) for t in decompose("fig4", guard_mode=mode)
+                task_key(t)
+                for t in decompose("fig4", spec=RunSpec(guard=mode))
             ] == base
 
     def test_repair_and_injection_differ(self):
         base = [task_key(t) for t in decompose("fig4")]
         repair = [
-            task_key(t) for t in decompose("fig4", guard_mode="repair")
+            task_key(t)
+            for t in decompose("fig4", spec=RunSpec(guard="repair"))
         ]
         injected = [
             task_key(t)
-            for t in decompose("fig4", guard_inject="overflow16")
+            for t in decompose("fig4", spec=RunSpec(guard_inject="overflow16"))
         ]
         assert repair != base
         assert injected != base
 
     def test_unknown_injection_rejected(self):
         with pytest.raises(ValueError):
-            decompose("fig4", guard_inject="meteor_strike")
+            decompose("fig4", spec=RunSpec(guard_inject="meteor_strike"))
         assert "overflow16" in GUARD_INJECTIONS
 
 
@@ -145,7 +147,7 @@ class TestTaskIdentity:
 class TestEngineRepair:
     def test_injected_overflow_is_rescued(self):
         engine = Engine(
-            jobs=1, guard_mode="repair", guard_inject="overflow16"
+            jobs=1, spec=RunSpec(guard="repair", guard_inject="overflow16")
         )
         outcome = engine.run("fig4")
         assert outcome.passed  # the rescued Float16 still tracks Float64
@@ -160,7 +162,7 @@ class TestEngineRepair:
 
     def test_strict_fails_with_structured_error(self):
         engine = Engine(
-            jobs=1, guard_mode="strict", guard_inject="overflow16"
+            jobs=1, spec=RunSpec(guard="strict", guard_inject="overflow16")
         )
         outcome = engine.run("fig4")
         assert not outcome.passed
@@ -180,7 +182,8 @@ class TestEngineRepair:
         docs = []
         for jobs in (1, 2):
             engine = Engine(
-                jobs=jobs, guard_mode="repair", guard_inject="overflow16"
+                jobs=jobs,
+                spec=RunSpec(guard="repair", guard_inject="overflow16"),
             )
             engine.run("fig4")
             docs.append(
@@ -190,7 +193,7 @@ class TestEngineRepair:
 
     def test_guard_report_shape(self):
         engine = Engine(
-            jobs=1, guard_mode="repair", guard_inject="overflow16"
+            jobs=1, spec=RunSpec(guard="repair", guard_inject="overflow16")
         )
         engine.run("fig4")
         doc = engine.stats.guard_report()
@@ -212,7 +215,7 @@ class TestJournalRoundTrip:
 
         path = tmp_path / "run.jnl"
         engine = Engine(
-            jobs=1, guard_mode="repair", guard_inject="overflow16"
+            jobs=1, spec=RunSpec(guard="repair", guard_inject="overflow16")
         )
         engine.journal = JournalWriter(path)
         engine.run("fig4")
@@ -238,7 +241,7 @@ class TestJournalRoundTrip:
 
         path = tmp_path / "run.jnl"
         first = Engine(
-            jobs=1, guard_mode="repair", guard_inject="overflow16"
+            jobs=1, spec=RunSpec(guard="repair", guard_inject="overflow16")
         )
         first.journal = JournalWriter(path)
         first.run("fig4")
@@ -248,7 +251,7 @@ class TestJournalRoundTrip:
         )
 
         second = Engine(
-            jobs=1, guard_mode="repair", guard_inject="overflow16",
+            jobs=1, spec=RunSpec(guard="repair", guard_inject="overflow16"),
             resume_state=load_journal(path),
         )
         second.run("fig4")

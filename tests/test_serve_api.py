@@ -16,6 +16,8 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,45 @@ class TestEndpoints:
         _, url, _ = served
         with pytest.raises(ServeClientError, match="unknown job kind"):
             sc.submit_job("dance", {}, url=url)
+
+    def test_misspelt_run_key_is_400_and_not_logged(self, served):
+        daemon, url, _ = served
+        sc.submit_job("run", {"key": "lst1"}, url=url)
+        log = daemon.store.log_path
+        size = log.stat().st_size
+        request = urllib.request.Request(
+            url + "/api/jobs", method="POST",
+            data=json.dumps({"kind": "run", "spec": {"kye": "fig3"}}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=30)
+        assert err.value.code == 400
+        assert "'kye'" in json.loads(err.value.read())["error"]
+        assert log.stat().st_size == size  # nothing appended
+
+    @pytest.mark.parametrize("kind, spec, words", [
+        ("run", {"key": "fig3", "sim_core": "object"}, "'sim_core'"),
+        ("run", {"key": "fig42"}, "unknown experiment"),
+        ("run", {"key": "fig4", "guard": "paranoid"}, "guard mode"),
+        ("faults", {"key": "fig3"}, "unknown faults spec key"),
+        ("campaign", {"selector": "mixed-chaos", "seed": 1}, "'seed'"),
+        ("autopilot", {"pack": "mixed-chaos", "grace": 1}, "'grace'"),
+    ])
+    def test_bad_spec_is_refused_for_every_kind(self, served, kind, spec,
+                                                 words):
+        daemon, url, _ = served
+        with pytest.raises(ServeClientError, match=words):
+            sc.submit_job(kind, spec, url=url)
+        assert not daemon.store.log_path.exists()
+
+    def test_test_levers_and_execution_settings_pass(self, served):
+        _, url, _ = served
+        doc = sc.submit_job(
+            "run", {"key": "lst1", "jobs": 2, "grace": 1.0,
+                    "_wedge_attempts": 1}, url=url,
+        )
+        assert doc["job_id"] == "job-000001"
 
     def test_unknown_job_is_404(self, served):
         _, url, _ = served
@@ -157,6 +198,21 @@ class TestCliClient:
             _cli("serve", "status", job_id, "--url", url, "--json").stdout
         )
         assert doc["spec"] == {"key": "lst1", "seed": 7}
+
+    def test_submit_refusal_exits_2(self, served, tmp_path):
+        daemon, url, _ = served
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"kye": "fig3"}))
+        out = _cli("serve", "submit", "run", "--spec", str(spec),
+                   "--url", url)
+        assert out.returncode == 2
+        assert "'kye'" in out.stderr
+        # A flag the kind does not read is refused too, not dropped.
+        out = _cli("serve", "submit", "faults", "--key", "fig3",
+                   "--url", url)
+        assert out.returncode == 2
+        assert "'key'" in out.stderr
+        assert not daemon.store.log_path.exists()
 
     def test_url_from_environment(self, served):
         _, url, _ = served

@@ -236,6 +236,82 @@ class TestReapOrder:
                     if rec["type"] == "job_requeued"]
 
 
+class _SigtermedProc:
+    """A worker stand-in that died of drain()'s SIGTERM before it had
+    installed its handler (it was still importing)."""
+
+    pid = 424243
+
+    def poll(self):
+        return -signal.SIGTERM
+
+    def terminate(self):
+        pass
+
+    def wait(self, timeout=None):
+        return -signal.SIGTERM
+
+
+class TestDrainReap:
+    def _leased(self, tmp_path):
+        daemon = _daemon(tmp_path, lease_timeout=60.0)
+        job_id = daemon.store.submit("run", {"key": "lst1"})
+        daemon.store.job_leased(job_id, 1, _SigtermedProc.pid, 60.0,
+                                daemon_id=daemon.daemon_id)
+        daemon._procs[job_id] = _SigtermedProc()
+        daemon._mine.add(job_id)
+        return daemon, job_id
+
+    def test_sigterm_death_during_drain_is_a_drain(self, tmp_path):
+        daemon, job_id = self._leased(tmp_path)
+        logged = []
+        daemon._log = logged.append
+        assert daemon.drain() == 75
+        job = daemon.store.load().jobs[job_id]
+        assert job.status == "queued"
+        assert job.last_requeue_reason == "drain"
+        assert job.attempt == 1  # not burned: the next lease is 1 again
+        assert job.not_before <= time.time()  # no backoff
+        assert any(f"worker exit {-signal.SIGTERM}" in m for m in logged)
+
+    def test_sigterm_death_outside_a_drain_burns_an_attempt(self,
+                                                              tmp_path):
+        daemon, job_id = self._leased(tmp_path)
+        job = daemon.tick().jobs[job_id]
+        assert job.last_requeue_reason == "lease-expired"
+        assert job.not_before > time.time() - 1.0
+
+
+class TestServedRunMatchesCli:
+    """A served ``run`` job honours every RunSpec field: its metric
+    document digest is the direct ``repro run --metrics-dir`` one."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("spec, argv", [
+        ({"key": "fig4", "guard": "repair", "guard_inject": "overflow16"},
+         ["fig4", "--guard", "repair", "--guard-inject", "overflow16"]),
+        ({"key": "fig3", "guard": "observe"},
+         ["fig3", "--guard", "observe"]),
+    ])
+    def test_guarded_digest_is_the_cli_digest(self, tmp_path, capsys,
+                                              spec, argv):
+        from repro.cli import main
+
+        metrics = tmp_path / "cli-metrics"
+        assert main(["run", *argv, "--scale", "ci", "--quiet",
+                     "--metrics-dir", str(metrics)]) == 0
+        capsys.readouterr()
+        (doc_path,) = metrics.glob("metrics-*.json")
+        cli_digest = json.loads(doc_path.read_text())["digest"]
+
+        daemon = _daemon(tmp_path)
+        job = _drive(daemon, daemon.store.submit(
+            "run", {**spec, "scale": "ci"}))
+        assert job.status == "done", job.error
+        assert job.digests["run"] == cli_digest
+        assert job.digests["run"] != _expected_run_digest(spec["key"])
+
+
 class TestRestartRecovery:
     def test_fresh_daemon_requeues_stale_inherited_lease(self, tmp_path):
         store = JobStore(tmp_path / "state")

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.exec import Engine
+from repro.exec import Engine, RunSpec
 from repro.obs import TraceRecorder, virtual_track
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -25,7 +25,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 def _virtual_bytes(jobs, key="fig2", fault_spec=None, seed=0):
     rec = TraceRecorder()
     engine = Engine(
-        jobs=jobs, recorder=rec, fault_spec=fault_spec, fault_seed=seed
+        jobs=jobs, recorder=rec, spec=RunSpec(faults=fault_spec, seed=seed)
     )
     outcomes = engine.run_many([key])
     assert all(o.passed or fault_spec for o in outcomes.values())
