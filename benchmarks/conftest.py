@@ -9,11 +9,11 @@ and asserts its qualitative claims; the timed quantity is the
 regeneration itself, and the interesting numbers are attached to
 ``benchmark.extra_info`` so they appear in the report.
 
-The simulator-core comparison (``test_bench_simcore.py``) additionally
+The event-engine comparison (``test_bench_simcore.py``) additionally
 consolidates its measurements into ``BENCH_simcore.json`` in the current
-directory — events/sec and wall-clock per figure for the object vs
-batched event cores, plus ShallowWaters steps/sec for the fused vs
-reference kernels.  CI uploads that file as an artifact and gates on the
+directory — events/sec and wall-clock per figure with the engine's wave
+commits on (``batched_*``) vs forced off (``scalar_*``), plus
+ShallowWaters steps/sec for the fused vs reference kernels.  CI uploads that file as an artifact and gates on the
 recorded speedups.
 
 Each session also snapshots the same measurements into a per-run metric
@@ -46,7 +46,7 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session")
 def simcore_record():
-    """Recorder for the object-vs-batched measurements.
+    """Recorder for the waves-on vs waves-off measurements.
 
     Call ``simcore_record(section, name, **fields)``; everything lands
     in ``BENCH_simcore.json`` when the session ends.

@@ -1,8 +1,10 @@
-"""Object vs batched event core: the recorded perf baseline.
+"""Wave commits on vs off: the event engine's recorded perf baseline.
 
-Times the same figure workloads on both simulator cores, asserts the
-results are byte-identical, and records wall-clock, speedup, and
-events/sec into ``BENCH_simcore.json`` (see ``conftest.py``).  The
+Times the same figure workloads with the engine's wave commits on (the
+default) and forced off (every event on the scalar path — forced from
+this side only, the engine has no switch for it), asserts the results
+are byte-identical, and records wall-clock, speedup, and events/sec
+into ``BENCH_simcore.json`` (see ``conftest.py``).  The
 ShallowWaters stepping comparison (fused out-parameter kernels vs the
 reference functional RHS) rides along as steps/sec.
 
@@ -11,17 +13,20 @@ here stay loose (identity is hard, speedup just has to be real); the
 json carries the honest measurement.
 """
 
+import contextlib
 import json
+import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core import figures
 from repro.core.benchmark import Timing
-from repro.mpi import simcore
 from repro.mpi.bindings import IMB_C
 from repro.mpi.comm import MPIWorld
+from repro.mpi.simulator import Engine
 from repro.shallowwaters.integration import RK4Integrator
 from repro.shallowwaters.model import ShallowWaterParams
 
@@ -30,14 +35,20 @@ from repro.shallowwaters.model import ShallowWaterParams
 FIG3_SIZES = [4, 1024, 262144]
 
 
-def _timed(core, fn):
-    simcore.set_sim_core(core)
-    try:
+def _no_wave(self):
+    # Park wave attempts for the rest of the run: the event loop then
+    # never calls back here and every event takes the scalar path.
+    self._wave_cooldown = sys.maxsize
+    return False
+
+
+def _timed(waves, fn):
+    ctx = (contextlib.nullcontext() if waves
+           else mock.patch.object(Engine, "_wave", _no_wave))
+    with ctx:
         t0 = time.perf_counter()
         out = fn()
         return time.perf_counter() - t0, out
-    finally:
-        simcore.set_sim_core(None)
 
 
 def _canon(result):
@@ -52,12 +63,12 @@ def _timing(seconds, **protocol):
 
 @pytest.mark.figure
 def test_fig2_pingpong_cores(simcore_record):
-    to, ro = _timed("object", figures.fig2_pingpong)
-    tb, rb = _timed("batched", figures.fig2_pingpong)
-    assert _canon(ro) == _canon(rb), "cores disagree on Fig. 2"
+    to, ro = _timed(False, figures.fig2_pingpong)
+    tb, rb = _timed(True, figures.fig2_pingpong)
+    assert _canon(ro) == _canon(rb), "waves on/off disagree on Fig. 2"
     simcore_record(
         "figures", "fig2_pingpong",
-        object_seconds=_timing(to), batched_seconds=_timing(tb),
+        scalar_seconds=_timing(to), batched_seconds=_timing(tb),
         speedup=round(to / tb, 3), identical=True,
     )
 
@@ -66,13 +77,13 @@ def test_fig2_pingpong_cores(simcore_record):
 def test_fig3_collectives_cores(simcore_record):
     run = lambda: figures.fig3_collectives(sizes=FIG3_SIZES, nranks=1536,
                                            repetitions=2)
-    to, ro = _timed("object", run)
-    tb, rb = _timed("batched", run)
-    assert _canon(ro) == _canon(rb), "cores disagree on Fig. 3"
-    assert tb < to, "batched core slower than the object core on Fig. 3"
+    to, ro = _timed(False, run)
+    tb, rb = _timed(True, run)
+    assert _canon(ro) == _canon(rb), "waves on/off disagree on Fig. 3"
+    assert tb < to, "wave commits slower than the scalar path on Fig. 3"
     simcore_record(
         "figures", "fig3_collectives",
-        object_seconds=_timing(to), batched_seconds=_timing(tb),
+        scalar_seconds=_timing(to), batched_seconds=_timing(tb),
         speedup=round(to / tb, 3), identical=True,
         sizes=FIG3_SIZES, nranks=1536,
     )
@@ -85,29 +96,28 @@ def test_allreduce_events_per_sec(simcore_record):
     bench = AllreduceBench()
     entry = {}
     results = {}
-    for core in ("object", "batched"):
+    for core, waves in (("scalar", False), ("batched", True)):
         def run():
             world = MPIWorld(nranks=1536, ranks_per_node=4,
-                             shape=(4, 6, 16), binding=IMB_C,
-                             sim_core=core)
+                             shape=(4, 6, 16), binding=IMB_C)
             out = world.run(bench._program, 1024, 5)
             return world, out
-        wall, (world, out) = _timed(core, run)
+        wall, (world, out) = _timed(waves, run)
         # One heap event per message send + delivery, plus a resume per
-        # yield; messages/sec is the stable cross-core throughput unit.
+        # yield; messages/sec is the stable cross-mode throughput unit.
         msgs = world.last_stats.messages
         entry[core] = dict(seconds=wall, messages=msgs,
                            events_per_sec=round(msgs / wall))
         results[core] = out
-    assert results["object"] == results["batched"]
+    assert results["scalar"] == results["batched"]
     simcore_record(
         "points", "allreduce_1024B_1536r_reps5",
-        object_seconds=_timing(entry["object"]["seconds"]),
+        scalar_seconds=_timing(entry["scalar"]["seconds"]),
         batched_seconds=_timing(entry["batched"]["seconds"]),
-        speedup=round(entry["object"]["seconds"]
+        speedup=round(entry["scalar"]["seconds"]
                       / entry["batched"]["seconds"], 3),
-        messages=entry["object"]["messages"],
-        object_events_per_sec=entry["object"]["events_per_sec"],
+        messages=entry["scalar"]["messages"],
+        scalar_events_per_sec=entry["scalar"]["events_per_sec"],
         batched_events_per_sec=entry["batched"]["events_per_sec"],
     )
 

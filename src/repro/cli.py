@@ -96,7 +96,6 @@ from .exec import (
 from .exec.runspec import RUN_SCALES
 from .chaos.workloads import WORKLOADS as CHAOS_WORKLOADS
 from .guard import GUARD_MODES
-from .mpi.simcore import SIM_CORES, set_sim_core
 
 __all__ = ["main", "build_parser"]
 
@@ -261,13 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--watchdog", type=float, default=None, metavar="S",
         help="kill the pool and journal in-flight tasks as interrupted "
         "if no worker heartbeat lands for S seconds (pool mode only)",
-    )
-    run_p.add_argument(
-        "--sim-core", default=None, choices=list(SIM_CORES),
-        dest="sim_core",
-        help="discrete-event core for simulated MPI worlds: 'batched' "
-        "(vectorised, the default) or 'object' (reference engine); "
-        "both produce byte-identical results",
     )
     run_p.add_argument(
         "--profile", type=int, default=None, metavar="N", dest="profile_top",
@@ -1298,11 +1290,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.profile_top is not None and args.profile_top < 1:
         print("--profile needs a positive top-N count", file=sys.stderr)
         return 2
-    if args.sim_core is not None:
-        # Process-wide override for in-process worlds, plus the env var
-        # so pool workers (fresh interpreters) inherit the same core.
-        set_sim_core(args.sim_core)
-        os.environ["REPRO_SIM_CORE"] = args.sim_core
 
     use_cache = args.cache or args.cache_dir != DEFAULT_CACHE_DIR
     shutdown = _GracefulShutdown()

@@ -384,7 +384,11 @@ def verify_journal(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     """Integrity report: record counts, checksum failures, torn tail,
     orphaned atomic-write temp files next to the journal, completion
     status.  ``ok`` is True iff no interior corruption."""
-    state = load_journal(path)
+    return _verify_doc(load_journal(path))
+
+
+def _verify_doc(state: JournalState) -> Dict[str, Any]:
+    """:func:`verify_journal`'s report for an already replayed journal."""
     pending = [
         k for k in state.dispatched
         if k not in state.completed and k not in state.failed
@@ -414,7 +418,7 @@ def journal_summary(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     """The ``repro journal show`` document: run metadata plus one entry
     per task in journal order (status, timing, worker)."""
     state = load_journal(path)
-    doc = verify_journal(path)
+    doc = _verify_doc(state)
     meta = state.meta or {}
     doc["keys"] = meta.get("keys")
     doc["scale"] = meta.get("scale")

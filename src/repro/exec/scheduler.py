@@ -53,6 +53,8 @@ __all__ = ["Scheduler", "TaskResult", "effective_jobs"]
 #: the parent polls futures when a cancel event or watchdog is armed.
 _HEARTBEAT_INTERVAL_S = 0.25
 _POLL_INTERVAL_S = 0.1
+#: How often a pool worker checks that its parent is still alive.
+_ORPHAN_POLL_S = 0.5
 
 
 @dataclass
@@ -162,12 +164,25 @@ def _heartbeat_loop(hb_dir: str) -> None:  # pragma: no cover - worker side
         time.sleep(_HEARTBEAT_INTERVAL_S)
 
 
+def _orphan_watch(parent_pid: int) -> None:  # pragma: no cover - worker side
+    """Daemon thread in each pool worker: end the worker once the
+    process that started it is gone.  A SIGKILLed parent cannot shut
+    its pool down, and its workers would otherwise sit reparented on the
+    call queue forever."""
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
 def _worker_init(
-    paths: List[str], hb_dir: Optional[str] = None
+    paths: List[str], hb_dir: Optional[str], parent_pid: int
 ) -> None:  # pragma: no cover - worker side
     for p in paths:
         if p not in sys.path:
             sys.path.append(p)
+    threading.Thread(
+        target=_orphan_watch, args=(parent_pid,), daemon=True
+    ).start()
     if hb_dir is not None:
         threading.Thread(
             target=_heartbeat_loop, args=(hb_dir,), daemon=True
@@ -412,7 +427,7 @@ class Scheduler:
             max_workers=workers,
             mp_context=self._mp_context(),
             initializer=_worker_init,
-            initargs=(list(sys.path), hb_dir),
+            initargs=(list(sys.path), hb_dir, os.getpid()),
         )
         out: List[Optional[TaskResult]] = [None] * len(tasks)
         broken = False

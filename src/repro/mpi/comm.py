@@ -173,7 +173,6 @@ class MPIWorld:
         bindings_by_rank: Optional[Dict[int, BindingProfile]] = None,
         faults: Optional[FaultPlan] = None,
         recv_timeout: Optional[float] = None,
-        sim_core: Optional[str] = None,
     ):
         # Explicit plan wins; otherwise inherit the process-wide active
         # plan (how `repro run --faults` reaches worlds built deep
@@ -195,18 +194,13 @@ class MPIWorld:
         self.bindings_by_rank = bindings_by_rank
         self.faults = self.network.faults
         self.recv_timeout = recv_timeout
-        #: event-core selection; None defers to the process default
-        #: (``--sim-core`` / ``REPRO_SIM_CORE``) at run time.
-        self.sim_core = sim_core
 
     def run(self, program: Callable[..., Generator], *args: Any) -> List[Any]:
         """Run ``program(comm, *args)`` on every rank; returns results.
 
         Traffic statistics of the run are left in :attr:`last_stats`.
         """
-        from .simcore import resolve_engine
-
-        engine = resolve_engine(self.sim_core)(
+        engine = Engine(
             self.nranks,
             self.network,
             binding=self.binding,

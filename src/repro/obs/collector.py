@@ -221,12 +221,7 @@ def document_digest(doc: Dict[str, Any]) -> str:
 
 
 def _base_meta(sha: Any = "auto") -> Dict[str, Any]:
-    from ..mpi.simcore import get_sim_core
-
-    return {
-        "git_sha": git_sha() if sha == "auto" else sha,
-        "sim_core": get_sim_core(),
-    }
+    return {"git_sha": git_sha() if sha == "auto" else sha}
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ def _bench_doc(events_per_sec, seconds, speedup, sha="cafe"):
     return {
         "schema": SCHEMA_VERSION,
         "kind": "bench",
-        "meta": {"git_sha": sha, "sim_core": "batched",
-                 "suite": "simcore"},
+        "meta": {"git_sha": sha, "suite": "simcore"},
         "metrics": {
             "bench.figures.fig3_collectives.batched_events_per_sec":
                 metric(events_per_sec, "higher"),

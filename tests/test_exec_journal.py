@@ -221,6 +221,24 @@ class TestVerifyAndSummary:
         assert labels == {"test[n=0]", "test[n=1]"}
         assert all(e["status"] == "done" for e in doc["entries"])
 
+    def test_summary_replays_once(self, tmp_path, monkeypatch):
+        """``journal show`` replays the file once and still embeds the
+        exact ``journal verify`` report."""
+        from repro.exec import journal as journal_mod
+
+        path = tmp_path / "run.jnl"
+        _write_run(path, n=2)
+        verify = verify_journal(path)
+        loads = []
+        real = journal_mod.load_journal
+        monkeypatch.setattr(
+            journal_mod, "load_journal",
+            lambda p: loads.append(p) or real(p),
+        )
+        doc = journal_summary(path)
+        assert len(loads) == 1
+        assert {k: doc[k] for k in verify} == verify
+
 
 class TestEngineResume:
     def test_resume_restores_all_and_reports_identical(self, tmp_path):

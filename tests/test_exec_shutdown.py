@@ -208,7 +208,71 @@ def baseline_all():
 
 
 @pytest.mark.skipif(not _HAS_FORK, reason="needs the fork start method")
+def _children(pid):
+    """Child pids of ``pid``, read from procfs: the per-task
+    ``children`` lists where the kernel has them, else every process's
+    parent pid."""
+    lists = list(Path(f"/proc/{pid}/task").glob("*/children"))
+    kids = []
+    for f in lists:
+        try:
+            kids += [int(c) for c in f.read_text().split()]
+        except OSError:
+            pass
+    if lists:
+        return kids
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _alive(pid):
+    """True while ``pid`` exists and has not exited (a zombie waiting
+    for a reaper counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestCrashRecovery:
+    @pytest.mark.skipif(
+        not _HAS_FORK or not Path("/proc/self/stat").is_file(),
+        reason="needs fork and procfs",
+    )
+    def test_sigkill_takes_pool_workers_down(self, tmp_path):
+        """Pool workers of a SIGKILLed run exit instead of waiting on the
+        call queue forever as orphans."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "all", "--quiet",
+             "--scale", "paper", "--jobs", "2"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=_ENV, cwd=tmp_path,
+        )
+        workers = []
+        try:
+            deadline = time.time() + 60.0
+            while len(workers) < 2 and time.time() < deadline:
+                workers = _children(proc.pid)
+                time.sleep(0.05)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+        assert len(workers) >= 2, f"pool never started: {workers}"
+        deadline = time.time() + 5.0
+        while any(_alive(w) for w in workers) and time.time() < deadline:
+            time.sleep(0.05)
+        left = [w for w in workers if _alive(w)]
+        for w in left:
+            os.kill(w, signal.SIGKILL)
+        assert not left, f"workers outlived their parent: {left}"
+
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_sigkill_then_resume_byte_identical(
         self, tmp_path, baseline_all, jobs

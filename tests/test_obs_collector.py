@@ -49,7 +49,7 @@ def _bench_doc(value: float, direction: str = "higher", name: str = "m"):
     return {
         "schema": SCHEMA_VERSION,
         "kind": "bench",
-        "meta": {"git_sha": "cafe", "sim_core": "batched"},
+        "meta": {"git_sha": "cafe"},
         "metrics": {name: metric(value, direction)},
     }
 
